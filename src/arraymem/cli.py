@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -278,7 +277,7 @@ def _outdir(config: dict) -> Path:
 
 
 def _workers(config: dict) -> int:
-    return config["workers"] or os.cpu_count() or 1
+    return config["workers"] or studies.default_workers()
 
 
 def _summary_payload(config: dict, body: dict) -> dict:

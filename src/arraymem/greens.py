@@ -56,19 +56,6 @@ def greens_tensor(r, r_prime) -> np.ndarray:
     return f_t * np.eye(3) + f_l * np.outer(rhat, rhat)
 
 
-def greens_tensor_batch(points, source) -> np.ndarray:
-    """G(r_i, source) for a batch of observation points; shape (n, 3, 3)."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    dr = points - np.asarray(source, dtype=float)[None, :]
-    dist = np.linalg.norm(dr, axis=1)
-    if np.any(dist <= 0.0):
-        raise SingularPointError("Green's tensor is singular at coincident points")
-    f_t, f_l = _scalar_parts(dist)
-    rhat = dr / dist[:, None]
-    outer = rhat[:, :, None] * rhat[:, None, :]
-    return f_t[:, None, None] * np.eye(3)[None] + f_l[:, None, None] * outer
-
-
 @dataclass(frozen=True)
 class InteractionMatrix:
     """Dense complex symmetric coupling matrix.

@@ -18,8 +18,8 @@ quadrature with node doubling until the requested tolerance is met.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import j0, j1
@@ -132,11 +132,6 @@ class DetectionMode:
     e0: float = 1.0
     two_sided: bool = True
     quadrature_tolerance: float = 1e-10
-    _f_det: float | None = field(default=None, repr=False, compare=False)
-    _f_flux: float | None = field(default=None, repr=False, compare=False)
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
 
     def __post_init__(self):
         if self.w0 <= 0:
@@ -144,20 +139,12 @@ class DetectionMode:
         _check_tolerance(self.quadrature_tolerance)
 
     def f_det(self) -> float:
-        """Cached transverse-plane norm of the single beam (compute once)."""
-        if self._f_det is None:
-            with self._lock:
-                if self._f_det is None:
-                    self._f_det = mode_norm(self)
-        return self._f_det
+        """Transverse-plane norm of the single beam (radial integral cached per waist)."""
+        return mode_norm(self)
 
     def f_flux(self) -> float:
-        """Cached photon-flux norm of the single beam (compute once)."""
-        if self._f_flux is None:
-            with self._lock:
-                if self._f_flux is None:
-                    self._f_flux = mode_flux_norm(self)
-        return self._f_flux
+        """Photon-flux norm of the single beam (radial integral cached per waist)."""
+        return mode_flux_norm(self)
 
 
 def _check_tolerance(tol):
@@ -179,8 +166,13 @@ def detection_field(m: DetectionMode, r) -> np.ndarray:
     return np.array([ex[0], 0.0 + 0.0j, ez])
 
 
+@functools.lru_cache(maxsize=256)
 def _radial_norm_integral(w0: float, flux_weighted: bool) -> float:
-    """Radial k-space integral common to both norms, b = sin(theta)."""
+    """Radial k-space integral common to both norms, b = sin(theta).
+
+    Cached: a pure function of the waist, asked for by every mode of a
+    study with the same few waists.
+    """
     two_a = (K0 * w0) ** 2 / 2.0
 
     def value(n):

@@ -15,14 +15,16 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import erf
 
 from . import __version__ as _version
+from . import blas
 from .errors import FitWindowError, InvalidArgumentError
 from .geometry import apply_position_disorder, build_square_array, remove_holes
 from .greens import ISOTROPIC, TWO_LEVEL, interaction_matrix
@@ -283,20 +285,47 @@ def optimal_waist(
 # ---------------------------------------------------------------------------
 
 
+def default_workers() -> int:
+    """Worker processes that fit on the usable cores.
+
+    Each process keeps as many cores busy as its BLAS has threads, so the
+    usable cores are divided by the largest OpenBLAS thread count: serial
+    when BLAS already uses every core, one worker per core when BLAS was
+    started with one thread (OPENBLAS_NUM_THREADS=1).
+    """
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    return max(1, cores // blas.max_threads())
+
+
 def _run_tasks(fn, tasks, workers):
+    """Map fn over tasks, numpy's BLAS on one thread in whichever process runs them."""
     if workers <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+        with blas.numpy_single_threaded():
+            return [fn(t) for t in tasks]
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=blas.set_numpy_threads, initargs=(1,)
+    ) as pool:
         chunk = max(1, len(tasks) // (workers * 4))
         return list(pool.map(fn, tasks, chunksize=chunk))
 
 
+def _samples_at(samples, g):
+    """The perfect lattice's samples at the sites g keeps.
+
+    Atoms that stay put see the same field, so slicing replaces the
+    Bessel quadrature of a fresh sample_mode.
+    """
+    return replace(samples, values=samples.values[g.site_indices])
+
+
 def _hole_task(args):
-    n, d, w0, holes, two_sided, tol = args
+    n, d, holes, samples0 = args
     g = remove_holes(build_square_array(n, d), list(holes))
     dec = eigendecompose(interaction_matrix(g, TWO_LEVEL))
-    sol, _ = _pipeline_epsilon(dec, g, w0, TWO_LEVEL, two_sided, tol)
-    return sol.eta_max
+    return max_efficiency(k_matrix(dec, _samples_at(samples0, g))).eta_max
 
 
 @dataclass
@@ -344,7 +373,7 @@ def hole_study(
             holes = tuple(
                 sorted(int(v) for v in rng.choice(n * n, size=n_holes, replace=False))
             )
-            tasks.append((n, d, w0, holes, two_sided, tol))
+            tasks.append((n, d, holes, samples0))
             meta.append((n_holes, k, holes))
     etas = _run_tasks(_hole_task, tasks, workers)
 

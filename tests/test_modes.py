@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,14 @@ def test_waist_and_tolerance_validation():
         DetectionMode(w0=1.0, quadrature_tolerance=0.0)
     with pytest.raises(InvalidArgumentError):
         DetectionMode(w0=1.0, quadrature_tolerance=1e-5)
+
+
+def test_mode_pickle_round_trip():
+    m = DetectionMode(w0=1.5, e0=2.0, two_sided=False, quadrature_tolerance=1e-9)
+    back = pickle.loads(pickle.dumps(m))
+    assert back == m
+    assert back.f_det() == m.f_det() == mode_norm(m)
+    assert back.f_flux() == m.f_flux() == mode_flux_norm(m)
 
 
 def test_z_component_vanishes_on_axis():

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from arraymem import (
 )
 from arraymem.errors import FitWindowError, InvalidArgumentError
 from arraymem.retrieval import efficiency_of_spin_wave
-from arraymem import studies
+from arraymem import blas, studies
 
 
 def eta_at(geometry, w0):
@@ -175,6 +177,64 @@ def test_parallel_matches_serial():
     serial = studies.hole_study(5, 0.6, 1.0, [2], 4, seed=9, workers=1)
     parallel = studies.hole_study(5, 0.6, 1.0, [2], 4, seed=9, workers=2)
     assert serial.rows == parallel.rows
+
+
+def test_disorder_parallel_matches_serial():
+    kwargs = dict(n_samples=3, seed=17, w0=1.2)
+    serial = studies.position_disorder_study(4, 0.6, [0.01, 0.03], workers=1, **kwargs)
+    parallel = studies.position_disorder_study(4, 0.6, [0.01, 0.03], workers=2, **kwargs)
+    assert serial.rows == parallel.rows
+    assert serial.summary == parallel.summary
+
+
+def _numpy_threads_task(_):
+    return blas.numpy_threads()
+
+
+def _failing_task(_):
+    raise ValueError("task failed")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_tasks_pins_numpy_blas_and_restores_it(workers):
+    before = blas.numpy_threads()
+    inside = studies._run_tasks(_numpy_threads_task, [0, 1, 2], workers)
+    assert inside == [None if before is None else 1] * 3
+    assert blas.numpy_threads() == before
+    with pytest.raises(ValueError, match="task failed"):
+        studies._run_tasks(_failing_task, [0, 1], workers)
+    assert blas.numpy_threads() == before
+
+
+def test_default_workers_fit_free_cores(monkeypatch):
+    cores = len(os.sched_getaffinity(0))
+    workers = studies.default_workers()
+    assert 1 <= workers <= max(1, cores // blas.max_threads())
+    monkeypatch.setattr(blas, "max_threads", lambda: 1)
+    assert studies.default_workers() == cores
+    monkeypatch.setattr(blas, "max_threads", lambda: cores + 1)
+    assert studies.default_workers() == 1
+
+
+@pytest.mark.parametrize(
+    "holes",
+    [
+        [0],  # corner
+        [9, 90, 99],  # the other corners
+        [1, 5, 19, 50, 98],  # edges
+        [44, 45, 54, 55],  # centre
+        [0, 3, 27, 44, 61, 72, 88, 99],
+    ],
+)
+def test_hole_samples_match_fresh_sampling(holes):
+    mode = DetectionMode(w0=1.5)
+    g0 = build_square_array(10, 0.6)
+    g = remove_holes(g0, holes)
+    reused = studies._samples_at(sample_mode(mode, g0), g)
+    fresh = sample_mode(mode, g)
+    assert np.max(np.abs(reused.values - fresh.values)) <= 1e-15
+    for name in ("f_det", "f_flux", "model", "w0", "e0", "two_sided"):
+        assert getattr(reused, name) == getattr(fresh, name)
 
 
 def test_isotropic_comparison_rows():
