@@ -17,8 +17,6 @@ from .greens import (
     InteractionMatrix,
     greens_tensor,
     interaction_matrix,
-    load_matrix,
-    save_matrix,
 )
 from .modes import (
     DetectionMode,
@@ -54,8 +52,6 @@ __all__ = [
     "InteractionMatrix",
     "greens_tensor",
     "interaction_matrix",
-    "save_matrix",
-    "load_matrix",
     "TWO_LEVEL",
     "ISOTROPIC",
     "DetectionMode",

@@ -37,8 +37,8 @@ from .dynamics import eta_finite_time
 from .errors import ArrayMemError, FitWindowError, InvalidArgumentError
 from .geometry import apply_position_disorder, build_square_array, remove_holes
 from .greens import ISOTROPIC, TWO_LEVEL, interaction_matrix
-from .modes import DetectionMode, sample_mode, samples_to_rows, validate_projection
-from .retrieval import k_matrix, max_efficiency, solution_to_dict
+from .modes import DetectionMode, samples_to_rows, validate_projection
+from .retrieval import solution_to_dict
 from .spectral import eigendecompose, reconstruction_residual
 from . import studies
 
@@ -284,41 +284,42 @@ def _summary_payload(config: dict, body: dict) -> dict:
     return {"config": config, "version": __version__, **body}
 
 
-def _cmd_efficiency(config: dict, args, explicit) -> int:
+def _solve(config: dict, g, optimize: bool) -> tuple:
+    """(w0, Result, OptimalWaist or None): g solved at the optimal waist,
+    or at the configured one."""
     gc, mc, sc = config["geometry"], config["mode"], config["study"]
-    g = _build_geometry(gc)
-    model = sc["model"]
-    if args.optimize_waist:
+    if optimize:
         opt = studies.optimal_waist(
-            gc["N"], gc["d"], model=model, two_sided=mc["two_sided"],
+            gc["N"], gc["d"], model=sc["model"], two_sided=mc["two_sided"],
             tol=mc["tol"], allow_large=sc["allow_large"], geometry=g,
         )
-        w0, sol_doc = opt.w0, {
+        return opt.w0, opt.result, opt
+    mode = DetectionMode(w0=mc["w0"], two_sided=mc["two_sided"], quadrature_tolerance=mc["tol"])
+    return mc["w0"], studies.solve(g, mode, sc["model"]), None
+
+
+def _cmd_efficiency(config: dict, args, explicit) -> int:
+    gc = config["geometry"]
+    g = _build_geometry(gc)
+    w0, res, opt = _solve(config, g, args.optimize_waist)
+    if args.optimize_waist:
+        sol_doc = {
             "eta_max": opt.eta, "epsilon": opt.epsilon, "w0": opt.w0,
             "spin_wave": [[float(c.real), float(c.imag)] for c in opt.spin_wave],
             "diagnostics": {"n_evaluations": opt.n_evaluations,
                             "bracket_fallback": opt.bracket_fallback},
         }
-        eta, eps = opt.eta, opt.epsilon
     else:
-        w0 = mc["w0"]
-        dec = eigendecompose(interaction_matrix(g, model))
-        mode = DetectionMode(w0=w0, two_sided=mc["two_sided"], quadrature_tolerance=mc["tol"])
-        samples = sample_mode(mode, g, model)
-        sol = max_efficiency(k_matrix(dec, samples))
-        sol_doc = solution_to_dict(sol, w0, g.to_json(include_positions=False))
-        sol_doc["spectral"] = dec.diagnostics()
-        eta, eps = sol.eta_max, 1.0 - sol.eta_max
+        sol_doc = solution_to_dict(res.solution, w0, g.to_json(include_positions=False))
+        sol_doc["spectral"] = res.dec.diagnostics()
     out = _outdir(config)
     stem = studies.artifact_stem("efficiency", gc["N"], gc["d"], config["output"]["timestamp"])
     path = out / f"{stem}.json"
     studies.write_summary(path, _summary_payload(config, {"solution": sol_doc}))
     if args.dump_samples:
-        mode = DetectionMode(w0=w0, two_sided=mc["two_sided"], quadrature_tolerance=mc["tol"])
-        rows = samples_to_rows(g, sample_mode(mode, g, model))
         studies.write_csv(out / f"{stem}_samples.csv",
-                          ["site", "x", "y", "re_e", "im_e"], rows)
-    print(f"eta={eta:.9f} eps={eps:.3e} w0={w0:g} -> {path}")
+                          ["site", "x", "y", "re_e", "im_e"], samples_to_rows(g, res.samples))
+    print(f"eta={res.eta:.9f} eps={1.0 - res.eta:.3e} w0={w0:g} -> {path}")
     return 0
 
 
@@ -411,28 +412,14 @@ def _cmd_disorder(config: dict, args, explicit) -> int:
 
 
 def _cmd_finite_time(config: dict, args, explicit) -> int:
-    gc, mc, sc = config["geometry"], config["mode"], config["study"]
+    gc, sc = config["geometry"], config["study"]
     g = _build_geometry(gc)
-    if "mode.w0" not in explicit:
-        opt = studies.optimal_waist(
-            gc["N"], gc["d"], model=sc["model"], two_sided=mc["two_sided"],
-            tol=mc["tol"], allow_large=sc["allow_large"], geometry=g,
-        )
-        w0, eta_inf, spin = opt.w0, opt.eta, opt.spin_wave
-        dec = eigendecompose(interaction_matrix(g, sc["model"]))
-        mode = DetectionMode(w0=w0, two_sided=mc["two_sided"], quadrature_tolerance=mc["tol"])
-        samples = sample_mode(mode, g, sc["model"])
-    else:
-        w0 = mc["w0"]
-        dec = eigendecompose(interaction_matrix(g, sc["model"]))
-        mode = DetectionMode(w0=w0, two_sided=mc["two_sided"], quadrature_tolerance=mc["tol"])
-        samples = sample_mode(mode, g, sc["model"])
-        sol = max_efficiency(k_matrix(dec, samples))
-        eta_inf, spin = sol.eta_max, sol.spin_wave
+    w0, res, _ = _solve(config, g, "mode.w0" not in explicit)
+    eta_inf, spin = res.eta, res.solution.spin_wave
     td_grid = np.geomspace(0.1, sc["Td"], 25)
     rows = []
     for td in td_grid:
-        eta_td = eta_finite_time(dec, samples, spin, float(td))
+        eta_td = eta_finite_time(res.dec, res.samples, spin, float(td))
         rows.append({"Td": float(td), "eta_Td": eta_td,
                      "relative_error": 1.0 - eta_td / eta_inf})
     out = _outdir(config)
@@ -483,20 +470,16 @@ def _cmd_validate(config: dict, args, explicit) -> int:
         ("4x4 with holes", remove_holes(build_square_array(4, 0.6), [0, 5])),
         ("disordered 4x4", apply_position_disorder(build_square_array(4, 0.6), 0.03, 99)),
     ]:
-        dec = eigendecompose(interaction_matrix(g, TWO_LEVEL))
-        checks.append((f"bilinear orthogonality ({label})", dec.bilinear_condition, 1e-8))
-        checks.append((f"completeness ({label})", dec.completeness_residual, 1e-8))
-        checks.append((
-            f"reconstruction ({label})",
-            reconstruction_residual(interaction_matrix(g, TWO_LEVEL), dec),
-            1e-9,
-        ))
+        m = interaction_matrix(g, TWO_LEVEL)
         mode = DetectionMode(w0=1.2, quadrature_tolerance=mc["tol"])
-        samples = sample_mode(mode, g, TWO_LEVEL)
-        mat = k_matrix(dec, samples)
-        sol = max_efficiency(mat)
-        checks.append((f"K Hermiticity ({label})", mat.hermiticity_residual(), 1e-10))
-        checks.append((f"eta bound ({label})", sol.diagnostics["eta_bound_violation"], 1e-9))
+        res = studies.solve(g, mode, dec=eigendecompose(m))
+        checks.append((f"bilinear orthogonality ({label})", res.dec.bilinear_condition, 1e-8))
+        checks.append((f"completeness ({label})", res.dec.completeness_residual, 1e-8))
+        checks.append((f"reconstruction ({label})", reconstruction_residual(m, res.dec), 1e-9))
+        checks.append((f"K Hermiticity ({label})", res.k.hermiticity_residual(), 1e-10))
+        checks.append((
+            f"eta bound ({label})", res.solution.diagnostics["eta_bound_violation"], 1e-9
+        ))
 
     failed = 0
     for name, value, bound in checks:

@@ -24,7 +24,13 @@ from scipy.integrate import solve_ivp
 from .errors import InvalidArgumentError, NumericalError
 from .greens import ISOTROPIC, InteractionMatrix
 from .modes import ModeSamples
-from .retrieval import efficiency_prefactor, mode_projections, _pair_kernel
+from .retrieval import (
+    _check_spin_wave,
+    _pair_kernel,
+    _x_components,
+    efficiency_prefactor,
+    mode_projections,
+)
 from .spectral import SpectralDecomposition, eigendecompose
 
 PI_PULSE = "pi-pulse-at-zero"
@@ -93,15 +99,6 @@ def _embed_excited(s0: np.ndarray, model: str, size: int) -> np.ndarray:
     return s0.astype(complex)
 
 
-def _check_spin_wave(s0, n) -> np.ndarray:
-    s0 = np.asarray(s0, dtype=complex)
-    if s0.shape != (n,):
-        raise InvalidArgumentError(f"spin wave must have {n} components")
-    if abs(np.sum(np.abs(s0) ** 2) - 1.0) > 1e-9:
-        raise InvalidArgumentError("spin wave must be unit-normalized")
-    return s0
-
-
 def evolve(
     m: InteractionMatrix,
     s0,
@@ -120,8 +117,7 @@ def evolve(
     """
     if t_end <= 0:
         raise InvalidArgumentError("t_end must be positive")
-    n_atoms = m.size // 3 if m.model == ISOTROPIC else m.size
-    s0 = _check_spin_wave(s0, n_atoms)
+    s0 = _check_spin_wave(s0, m.n_atoms)
     times = np.linspace(0.0, t_end, n_steps)
 
     if schedule.kind == PI_PULSE:
@@ -152,7 +148,7 @@ def evolve(
             e_t = sol.y.T
         else:
             raise InvalidArgumentError(f"unknown method {method!r}")
-        s_t = np.zeros_like(e_t[:, :n_atoms])
+        s_t = np.zeros_like(e_t[:, : m.n_atoms])
         return AmplitudeTrajectory(times=times, e=e_t, s=s_t)
 
     # piecewise-constant control: integrate [e; s] segment by segment
@@ -232,13 +228,9 @@ def eta_finite_time(
     """Efficiency collected in [0, T_d] after a pi-pulse, in closed form."""
     if t_d <= 0:
         raise InvalidArgumentError("detection window must be positive")
-    n_atoms = dec.size // 3 if dec.model == ISOTROPIC else dec.size
-    s0 = _check_spin_wave(s0, n_atoms)
+    s0 = _check_spin_wave(s0, dec.n_atoms)
     proj = mode_projections(dec, samples, contraction)
-    if dec.model == ISOTROPIC:
-        amp0 = dec.eigenvectors[0::3, :].T @ s0
-    else:
-        amp0 = dec.eigenvectors.T @ s0
+    amp0 = _x_components(dec).T @ s0
     lam = dec.eigenvalues
     kernel = _pair_kernel(lam)
     decay = np.exp(1j * (lam[:, None] - lam.conj()[None, :]) * t_d)

@@ -19,7 +19,6 @@ exactly the single-atom rate.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,8 +55,19 @@ def greens_tensor(r, r_prime) -> np.ndarray:
     return f_t * np.eye(3) + f_l * np.outer(rhat, rhat)
 
 
+class ModelRows:
+    """Rows indexed by atom, or by (atom, orientation) in the isotropic model.
+
+    Mixed into the matrices over those rows, which carry size and model.
+    """
+
+    @property
+    def n_atoms(self) -> int:
+        return self.size // 3 if self.model == ISOTROPIC else self.size
+
+
 @dataclass(frozen=True)
-class InteractionMatrix:
+class InteractionMatrix(ModelRows):
     """Dense complex symmetric coupling matrix.
 
     entries: (N_a, N_a) for the two-level model or (3 N_a, 3 N_a) for the
@@ -120,40 +130,3 @@ def interaction_matrix(g: Geometry, model: str = TWO_LEVEL) -> InteractionMatrix
     idx = np.arange(3 * n)
     m[idx, idx] = 0.5j
     return InteractionMatrix(entries=m, model=model)
-
-
-def im_part_min_eigenvalue(m: InteractionMatrix) -> float:
-    """Smallest eigenvalue of the Im-part quadratic form.
-
-    Non-negative (up to roundoff) for physical geometries: no collective
-    excitation can have a negative total emission rate.
-    """
-    im = (m.entries - m.entries.conj()) / 2j
-    return float(np.linalg.eigvalsh(im.real).min())
-
-
-_MAGIC = b"AMEM"
-_MODEL_CODE = {TWO_LEVEL: 1, ISOTROPIC: 2}
-_MODEL_NAME = {v: k for k, v in _MODEL_CODE.items()}
-
-
-def save_matrix(m: InteractionMatrix, path) -> None:
-    """Binary dump: magic, uint8 model code, uint64 size, then row-major
-    complex little-endian doubles."""
-    data = np.ascontiguousarray(m.entries, dtype="<c16")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<BQ", _MODEL_CODE[m.model], m.size))
-        fh.write(data.tobytes())
-
-
-def load_matrix(path) -> InteractionMatrix:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise InvalidArgumentError(f"{path} is not an interaction-matrix dump")
-        code, size = struct.unpack("<BQ", fh.read(9))
-        data = np.frombuffer(fh.read(), dtype="<c16")
-    if data.size != size * size:
-        raise InvalidArgumentError("matrix dump is truncated")
-    entries = data.reshape(size, size).astype(complex)
-    return InteractionMatrix(entries=entries, model=_MODEL_NAME[code])

@@ -26,7 +26,7 @@ from scipy.special import j0, j1
 
 from .errors import InvalidArgumentError, NumericalError
 from .geometry import Geometry
-from .greens import ISOTROPIC, MODELS, TWO_LEVEL, K0
+from .greens import ISOTROPIC, MODELS, TWO_LEVEL, K0, _scalar_parts
 
 _PANEL_ORDER = 32
 _MAX_PANELS = 1 << 10
@@ -220,50 +220,16 @@ def mode_flux_norm(m: DetectionMode) -> float:
     return np.pi * m.e0**2 / K0**2 * _radial_norm_integral(m.w0, flux_weighted=True)
 
 
-def mode_norm_realspace(m: DetectionMode, z: float = 0.0) -> float:
-    """Surface integral of |E_det|^2 at a plane z = const (cross-check).
-
-    Azimuthal integration is analytic (|E^x|^2 is axial, |E^z|^2 carries
-    cos^2), leaving radial quadrature on composite Gauss-Legendre panels.
-    """
-    tol = m.quadrature_tolerance
-    w_z = m.w0 * np.sqrt(1.0 + (z / (np.pi * m.w0**2)) ** 2)
-    r_max = max(10.0 * w_z, 8.0)
-
-    def value(order):
-        x, w = np.polynomial.legendre.leggauss(order)
-        width = min(0.5, m.w0 / 4.0)
-        n_panels = int(np.ceil(r_max / width))
-        edges = np.linspace(0.0, r_max, n_panels + 1)
-        mid = (edges[1:] + edges[:-1]) / 2.0
-        half = (edges[1:] - edges[:-1]) / 2.0
-        rho = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-        wts = (half[:, None] * w[None, :]).ravel()
-        ex, g = _field_components(m.w0, m.e0, rho, [z], tol)
-        ez_mag2 = np.abs(m.e0 * g) ** 2
-        radial = 2.0 * np.pi * np.abs(ex) ** 2 + np.pi * ez_mag2
-        return float(np.sum(wts * rho * radial))
-
-    prev = value(12)
-    for order in (24, 48):
-        cur = value(order)
-        if abs(cur - prev) <= 1e-9 * abs(cur):
-            return cur
-        prev = cur
-    return prev
-
-
 @dataclass(frozen=True)
 class ModeSamples:
-    """Detection-mode field sampled at the atoms plus the cached norms.
+    """Detection-mode field sampled at the atoms plus the flux norm.
 
     values: (N_a,) complex projections E_det(r_j) . d_j* for the two-level
-    model, or (N_a, 3) field vectors for the isotropic model. f_det is the
-    surface norm, f_flux the photon-flux norm entering efficiencies.
+    model, or (N_a, 3) field vectors for the isotropic model. f_flux is the
+    photon-flux norm entering efficiencies.
     """
 
     values: np.ndarray
-    f_det: float
     f_flux: float
     model: str
     w0: float
@@ -297,7 +263,6 @@ def sample_mode(m: DetectionMode, g: Geometry, model: str = TWO_LEVEL) -> ModeSa
         values = ex * dip[:, 0].conj() + ez * dip[:, 2].conj()
     return ModeSamples(
         values=values,
-        f_det=m.f_det(),
         f_flux=m.f_flux(),
         model=model,
         w0=m.w0,
@@ -406,10 +371,7 @@ def validate_projection(
             flat = pts.reshape(-1, 3)
             dr = flat - r_d[None, :]
             dist = np.linalg.norm(dr, axis=1)
-            kr = K0 * dist
-            phase = np.exp(1j * kr) / (4.0 * np.pi * dist)
-            f_t = phase * (1.0 + (1j * kr - 1.0) / kr**2)
-            f_l = phase * (3.0 - 3.0j * kr - kr**2) / kr**2
+            f_t, f_l = _scalar_parts(dist)
             rhat = dr / dist[:, None]
             gd = f_t[:, None] * dvec[None, :] + (f_l * (rhat @ dvec))[:, None] * rhat
             gd = gd.reshape(len(rho), len(ph), 3)

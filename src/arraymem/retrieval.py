@@ -69,8 +69,7 @@ def mode_projections(
             f"samples are for model {samples.model!r}, decomposition for {dec.model!r}"
         )
     if dec.model == ISOTROPIC:
-        n_atoms = dec.size // 3
-        if samples.values.shape != (n_atoms, 3):
+        if samples.values.shape != (dec.n_atoms, 3):
             raise InvalidArgumentError("isotropic samples must be (N_a, 3) vectors")
         if contraction == FULL_CONTRACTION:
             field = samples.values.conj().reshape(-1)
@@ -182,18 +181,24 @@ def max_efficiency(mat: EfficiencyMatrix) -> RetrievalSolution:
     return RetrievalSolution(eta_max=eta, spin_wave=spin, diagnostics=diagnostics)
 
 
-def efficiency_of_spin_wave(mat: EfficiencyMatrix, s) -> float:
-    """eta for a given normalized initial spin wave (no silent rescaling)."""
+def _check_spin_wave(s, n_atoms: int) -> np.ndarray:
+    """s as a complex array, rejected unless it is a unit vector over n_atoms."""
     s = np.asarray(s, dtype=complex)
-    if s.shape != (mat.n_atoms,):
+    if s.shape != (n_atoms,):
         raise InvalidArgumentError(
-            f"spin wave must have {mat.n_atoms} components, got shape {s.shape}"
+            f"spin wave must have {n_atoms} components, got shape {s.shape}"
         )
     norm_sq = float(np.sum(np.abs(s) ** 2))
     if abs(norm_sq - 1.0) > NORM_TOL:
         raise InvalidArgumentError(
             f"spin wave must be unit-normalized, |s|^2 = {norm_sq!r}"
         )
+    return s
+
+
+def efficiency_of_spin_wave(mat: EfficiencyMatrix, s) -> float:
+    """eta for a given normalized initial spin wave (no silent rescaling)."""
+    s = _check_spin_wave(s, mat.n_atoms)
     return float(mat.prefactor * np.real(s @ (mat.k @ s.conj())))
 
 

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DefectiveSpectrumError, InvalidArgumentError
-from .greens import InteractionMatrix
+from .greens import InteractionMatrix, ModelRows
 
 BILINEAR_TOL = 1e-8
 DECAY_TOL = 1e-10
@@ -28,7 +28,7 @@ CLUSTER_GAP = 1e-9
 
 
 @dataclass(frozen=True)
-class SpectralDecomposition:
+class SpectralDecomposition(ModelRows):
     """Bilinearly normalized eigensystem of the coupling matrix.
 
     eigenvalues:          (n,) complex, ordered by descending imaginary

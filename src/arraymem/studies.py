@@ -14,6 +14,7 @@ vs isotropic comparison. Every Monte Carlo result is reproducible from
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import os
 import time
@@ -28,9 +29,15 @@ from . import blas
 from .errors import FitWindowError, InvalidArgumentError
 from .geometry import apply_position_disorder, build_square_array, remove_holes
 from .greens import ISOTROPIC, TWO_LEVEL, interaction_matrix
-from .modes import DetectionMode, sample_mode
-from .retrieval import efficiency_of_spin_wave, k_matrix, max_efficiency
-from .spectral import eigendecompose
+from .modes import DetectionMode, ModeSamples, sample_mode
+from .retrieval import (
+    EfficiencyMatrix,
+    RetrievalSolution,
+    efficiency_of_spin_wave,
+    k_matrix,
+    max_efficiency,
+)
+from .spectral import SpectralDecomposition, eigendecompose
 
 MAX_N_TWO_LEVEL = 30
 MAX_N_ISOTROPIC = 14
@@ -88,11 +95,40 @@ def model_error(n: int, d: float, w0, c: float = DEFAULT_C_SEED) -> np.ndarray:
     return c / w0**4 + clipping_error(n, d, w0)
 
 
-def _pipeline_epsilon(dec, geometry, w0, model, two_sided, tol):
-    mode = DetectionMode(w0=float(w0), two_sided=two_sided, quadrature_tolerance=tol)
-    samples = sample_mode(mode, geometry, model)
-    sol = max_efficiency(k_matrix(dec, samples))
-    return sol, samples
+@dataclass(frozen=True)
+class Result:
+    """One configuration solved: the eigensystem of M, the beam at the
+    atoms, the efficiency matrix K and its top eigenpair."""
+
+    dec: SpectralDecomposition
+    samples: ModeSamples
+    k: EfficiencyMatrix
+
+    @functools.cached_property
+    def solution(self) -> RetrievalSolution:
+        """Top eigenpair of K, computed on first use: a study that scores
+        a fixed spin wave against K never needs it."""
+        return max_efficiency(self.k)
+
+    @property
+    def eta(self) -> float:
+        return self.solution.eta_max
+
+
+def solve(
+    g, mode: DetectionMode | None, model: str = TWO_LEVEL, dec=None, samples=None
+) -> Result:
+    """eta_max = p lambda_max(K) for one geometry and detection mode.
+
+    A given dec (one eigensystem shared by every waist of a geometry) or
+    samples (the beam sliced from a parent lattice) is used as it is;
+    with samples given, mode is not read.
+    """
+    if dec is None:
+        dec = eigendecompose(interaction_matrix(g, model))
+    if samples is None:
+        samples = sample_mode(mode, g, model)
+    return Result(dec=dec, samples=samples, k=k_matrix(dec, samples))
 
 
 def scan_waist(
@@ -110,11 +146,13 @@ def scan_waist(
     if any(w <= 0 for w in w0_list) or sorted(w0_list) != w0_list:
         raise InvalidArgumentError("w0_list must be positive and sorted")
     g = build_square_array(n, d)
-    dec = eigendecompose(interaction_matrix(g, model))
+    dec = None
     rows = []
     etas = []
     for w0 in w0_list:
-        sol, _ = _pipeline_epsilon(dec, g, w0, model, two_sided, tol)
+        mode = DetectionMode(w0=w0, two_sided=two_sided, quadrature_tolerance=tol)
+        res = solve(g, mode, model, dec=dec)
+        dec, sol = res.dec, res.solution
         etas.append(sol.eta_max)
         rows.append(
             {
@@ -190,12 +228,27 @@ def loglog_slope(x, y) -> float:
 
 @dataclass
 class OptimalWaist:
-    w0: float
-    epsilon: float
-    eta: float
-    spin_wave: np.ndarray = field(repr=False)
+    """The best configuration the waist search solved, and how it got there."""
+
+    result: Result = field(repr=False)
     n_evaluations: int
     bracket_fallback: bool
+
+    @property
+    def w0(self) -> float:
+        return self.result.samples.w0
+
+    @property
+    def eta(self) -> float:
+        return self.result.eta
+
+    @property
+    def epsilon(self) -> float:
+        return 1.0 - self.eta
+
+    @property
+    def spin_wave(self) -> np.ndarray:
+        return self.result.solution.spin_wave
 
 
 def _model_seed_waist(n: int, d: float, c: float = DEFAULT_C_SEED) -> float:
@@ -219,15 +272,19 @@ def optimal_waist(
         raise InvalidArgumentError("waist optimization needs N >= 2")
     _check_scale(n, model, allow_large)
     g = geometry if geometry is not None else build_square_array(n, d)
-    dec = eigendecompose(interaction_matrix(g, model))
     evaluations = {}
+    best = None  # only the running best keeps its K
 
     def eps_of(w0):
+        nonlocal best
         w0 = round(float(w0), 12)
         if w0 not in evaluations:
-            sol, _ = _pipeline_epsilon(dec, g, w0, model, two_sided, tol)
-            evaluations[w0] = (1.0 - sol.eta_max, sol)
-        return evaluations[w0][0]
+            mode = DetectionMode(w0=w0, two_sided=two_sided, quadrature_tolerance=tol)
+            res = solve(g, mode, model, dec=best.dec if best else None)
+            evaluations[w0] = 1.0 - res.eta
+            if best is None or evaluations[w0] < 1.0 - best.eta:
+                best = res
+        return evaluations[w0]
 
     seed = _model_seed_waist(n, d)
     fallback = False
@@ -248,9 +305,8 @@ def optimal_waist(
     if not (fm < fa and fm < fb):
         # no clean bracket: fall back to a fine grid scan
         fallback = True
-        grid = np.geomspace(a, b, 80)
-        vals = [eps_of(w) for w in grid]
-        w_best = float(grid[int(np.argmin(vals))])
+        for w in np.geomspace(a, b, 80):
+            eps_of(w)
     else:
         # golden-section contraction of [a, b] around the seed
         invphi = (np.sqrt(5.0) - 1.0) / 2.0
@@ -267,15 +323,8 @@ def optimal_waist(
                 lo, x1, f1 = x1, x2, f2
                 x2 = lo + invphi * (hi - lo)
                 f2 = eps_of(x2)
-        w_best = min(evaluations, key=lambda w: evaluations[w][0])
-    eps_best, sol_best = evaluations[w_best]
     return OptimalWaist(
-        w0=float(w_best),
-        epsilon=float(eps_best),
-        eta=float(sol_best.eta_max),
-        spin_wave=sol_best.spin_wave,
-        n_evaluations=len(evaluations),
-        bracket_fallback=fallback,
+        result=best, n_evaluations=len(evaluations), bracket_fallback=fallback
     )
 
 
@@ -324,8 +373,7 @@ def _samples_at(samples, g):
 def _hole_task(args):
     n, d, holes, samples0 = args
     g = remove_holes(build_square_array(n, d), list(holes))
-    dec = eigendecompose(interaction_matrix(g, TWO_LEVEL))
-    return max_efficiency(k_matrix(dec, _samples_at(samples0, g))).eta_max
+    return solve(g, None, samples=_samples_at(samples0, g)).eta
 
 
 @dataclass
@@ -358,10 +406,9 @@ def hole_study(
     hole_counts = [int(h) for h in hole_counts]
     if any(h < 1 or h > 0.2 * n * n for h in hole_counts):
         raise InvalidArgumentError("hole counts must stay within 20% of the sites")
-    g0 = build_square_array(n, d)
-    dec0 = eigendecompose(interaction_matrix(g0, TWO_LEVEL))
-    sol0, samples0 = _pipeline_epsilon(dec0, g0, w0, TWO_LEVEL, two_sided, tol)
-    eta0 = sol0.eta_max
+    mode = DetectionMode(w0=float(w0), two_sided=two_sided, quadrature_tolerance=tol)
+    res0 = solve(build_square_array(n, d), mode)
+    eta0, samples0 = res0.eta, res0.samples
     weights = samples0.intensities()
     total_intensity = float(weights.sum())
 
@@ -427,11 +474,8 @@ def hole_study(
 def _disorder_task(args):
     n, d, w0, sigma, sub_seed, spin_wave, two_sided, tol = args
     g = apply_position_disorder(build_square_array(n, d), sigma, sub_seed)
-    dec = eigendecompose(interaction_matrix(g, TWO_LEVEL))
     mode = DetectionMode(w0=w0, two_sided=two_sided, quadrature_tolerance=tol)
-    samples = sample_mode(mode, g, TWO_LEVEL)
-    mat = k_matrix(dec, samples)
-    return efficiency_of_spin_wave(mat, np.asarray(spin_wave))
+    return efficiency_of_spin_wave(solve(g, mode).k, np.asarray(spin_wave))
 
 
 @dataclass
@@ -464,15 +508,11 @@ def position_disorder_study(
         raise InvalidArgumentError("sigma_list must be positive and sorted")
     if w0 is None:
         opt = optimal_waist(n, d, tol=tol, allow_large=allow_large)
-        w0 = opt.w0
-        eta0 = opt.eta
-        spin = opt.spin_wave
+        w0, res0 = opt.w0, opt.result
     else:
-        g0 = build_square_array(n, d)
-        dec0 = eigendecompose(interaction_matrix(g0, TWO_LEVEL))
-        sol0, _ = _pipeline_epsilon(dec0, g0, w0, TWO_LEVEL, two_sided, tol)
-        eta0 = sol0.eta_max
-        spin = sol0.spin_wave
+        mode = DetectionMode(w0=float(w0), two_sided=two_sided, quadrature_tolerance=tol)
+        res0 = solve(build_square_array(n, d), mode)
+    eta0, spin = res0.eta, res0.solution.spin_wave
 
     rng = np.random.default_rng(seed)
     sub_seeds = rng.integers(0, 2**63 - 1, size=(len(sigma_list), n_samples))

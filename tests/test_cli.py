@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from arraymem import cli, studies
 from arraymem.cli import main
+from arraymem.spectral import eigendecompose
 
 
 def run(argv, capsys):
@@ -191,7 +193,15 @@ def test_disorder_honors_config_file_waist(tmp_path, capsys):
     assert doc["provenance"]["w0"] == 1.3
 
 
-def test_finite_time_command(tmp_path, capsys):
+def test_finite_time_command(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(m):
+        calls.append(m.size)
+        return eigendecompose(m)
+
+    monkeypatch.setattr(studies, "eigendecompose", counted)
+    monkeypatch.setattr(cli, "eigendecompose", counted)
     code, out, _ = run(
         [
             "finite-time",
@@ -209,6 +219,7 @@ def test_finite_time_command(tmp_path, capsys):
     assert "1 - eta_Td/eta" in out
     doc = json.loads((tmp_path / "finite-time_4_0.6.json").read_text())
     assert doc["final"]["relative_error"] < 0.05
+    assert calls == [16]  # the waist search's eigensystem serves the windows
 
 
 def test_isotropic_command(tmp_path, capsys):

@@ -7,8 +7,6 @@ from arraymem import (
     build_square_array,
     greens_tensor,
     interaction_matrix,
-    load_matrix,
-    save_matrix,
 )
 from arraymem.errors import (
     InvalidArgumentError,
@@ -16,9 +14,19 @@ from arraymem.errors import (
     SingularPointError,
 )
 from arraymem.geometry import Geometry
-from arraymem.greens import K0, im_part_min_eigenvalue
+from arraymem.greens import K0, InteractionMatrix
 
 RNG = np.random.default_rng(314)
+
+
+def im_part_min_eigenvalue(m: InteractionMatrix) -> float:
+    """Smallest eigenvalue of the Im-part quadratic form.
+
+    Non-negative (up to roundoff) for physical geometries: no collective
+    excitation can have a negative total emission rate.
+    """
+    im = (m.entries - m.entries.conj()) / 2j
+    return float(np.linalg.eigvalsh(im.real).min())
 
 
 def test_reciprocity_random_points():
@@ -145,20 +153,3 @@ def test_duplicate_positions_rejected():
 def test_unknown_model_rejected():
     with pytest.raises(InvalidArgumentError):
         interaction_matrix(build_square_array(2, 0.6), "four-level")
-
-
-@pytest.mark.parametrize("model", [TWO_LEVEL, ISOTROPIC])
-def test_binary_dump_round_trip(tmp_path, model):
-    m = interaction_matrix(build_square_array(2, 0.6), model)
-    path = tmp_path / "m.bin"
-    save_matrix(m, path)
-    back = load_matrix(path)
-    assert back.model == m.model
-    np.testing.assert_array_equal(back.entries, m.entries)
-
-
-def test_dump_rejects_foreign_file(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"not a matrix")
-    with pytest.raises(InvalidArgumentError):
-        load_matrix(path)

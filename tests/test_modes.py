@@ -16,7 +16,7 @@ from arraymem import (
 )
 from arraymem.errors import InvalidArgumentError, NumericalError
 from arraymem.greens import K0
-from arraymem.modes import mode_norm_realspace
+from arraymem.modes import _field_components
 
 
 def focus_amplitude(w0, e0=1.0):
@@ -24,6 +24,39 @@ def focus_amplitude(w0, e0=1.0):
     E0 * 2/(k0 w0)^2 * (1 - exp(-(k0 w0)^2/4))."""
     a = (K0 * w0) ** 2 / 4.0
     return e0 * (1.0 - np.exp(-a)) / (2.0 * a)
+
+
+def mode_norm_realspace(m: DetectionMode, z: float = 0.0) -> float:
+    """Surface integral of |E_det|^2 at a plane z = const (cross-check).
+
+    Azimuthal integration is analytic (|E^x|^2 is axial, |E^z|^2 carries
+    cos^2), leaving radial quadrature on composite Gauss-Legendre panels.
+    """
+    tol = m.quadrature_tolerance
+    w_z = m.w0 * np.sqrt(1.0 + (z / (np.pi * m.w0**2)) ** 2)
+    r_max = max(10.0 * w_z, 8.0)
+
+    def value(order):
+        x, w = np.polynomial.legendre.leggauss(order)
+        width = min(0.5, m.w0 / 4.0)
+        n_panels = int(np.ceil(r_max / width))
+        edges = np.linspace(0.0, r_max, n_panels + 1)
+        mid = (edges[1:] + edges[:-1]) / 2.0
+        half = (edges[1:] - edges[:-1]) / 2.0
+        rho = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+        wts = (half[:, None] * w[None, :]).ravel()
+        ex, g = _field_components(m.w0, m.e0, rho, [z], tol)
+        ez_mag2 = np.abs(m.e0 * g) ** 2
+        radial = 2.0 * np.pi * np.abs(ex) ** 2 + np.pi * ez_mag2
+        return float(np.sum(wts * rho * radial))
+
+    prev = value(12)
+    for order in (24, 48):
+        cur = value(order)
+        if abs(cur - prev) <= 1e-9 * abs(cur):
+            return cur
+        prev = cur
+    return prev
 
 
 def test_waist_and_tolerance_validation():

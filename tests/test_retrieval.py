@@ -88,7 +88,6 @@ def test_gauge_invariance_of_k():
     samples = sample_mode(DetectionMode(w0=1.5), g)
     rotated = ModeSamples(
         values=samples.values * np.exp(0.7j),
-        f_det=samples.f_det,
         f_flux=samples.f_flux,
         model=samples.model,
         w0=samples.w0,
@@ -172,7 +171,6 @@ def test_dark_pair_guard():
     )
     samples = ModeSamples(
         values=np.array([0.1 + 0j]),
-        f_det=1.0,
         f_flux=1.0,
         model=TWO_LEVEL,
         w0=1.0,

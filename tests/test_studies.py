@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from arraymem import (
+    ISOTROPIC,
+    TWO_LEVEL,
     DetectionMode,
     apply_position_disorder,
     build_square_array,
@@ -108,8 +110,56 @@ def test_optimal_waist_four_by_four():
     assert opt.epsilon < 0.01
     assert 0.5 < opt.w0 < 1.2
     assert not opt.bracket_fallback
+    fresh = studies.solve(build_square_array(4, 0.6), DetectionMode(w0=opt.w0))
+    assert opt.result.eta == fresh.eta == opt.eta
     with pytest.raises(InvalidArgumentError):
         studies.optimal_waist(1, 0.6)
+
+
+def test_optimal_waist_fallback_keeps_the_best_result(monkeypatch):
+    # a seed far above the optimum leaves no bracket, so the grid scan runs
+    monkeypatch.setattr(studies, "_model_seed_waist", lambda n, d: 1000.0)
+    opt = studies.optimal_waist(3, 0.6)
+    assert opt.bracket_fallback
+    fresh = studies.solve(build_square_array(3, 0.6), DetectionMode(w0=opt.w0))
+    assert opt.eta == fresh.eta
+
+
+@pytest.mark.parametrize(
+    "g, model, sliced",
+    [
+        (build_square_array(4, 0.6), TWO_LEVEL, False),
+        (remove_holes(build_square_array(4, 0.6), [0, 5]), TWO_LEVEL, True),
+        (apply_position_disorder(build_square_array(4, 0.6), 0.03, 99), TWO_LEVEL, False),
+        (build_square_array(3, 0.6), ISOTROPIC, False),
+    ],
+    ids=["perfect-4x4", "holes-4x4", "disordered-4x4", "isotropic-3x3"],
+)
+def test_solve_matches_hand_chain(g, model, sliced):
+    mode = DetectionMode(w0=1.2)
+    if sliced:
+        samples = studies._samples_at(sample_mode(mode, build_square_array(4, 0.6)), g)
+        res = studies.solve(g, None, model, samples=samples)
+    else:
+        samples = sample_mode(mode, g, model)
+        res = studies.solve(g, mode, model)
+    mat = k_matrix(eigendecompose(interaction_matrix(g, model)), samples)
+    sol = max_efficiency(mat)
+    assert res.eta == sol.eta_max
+    assert np.array_equal(res.k.k, mat.k)
+    assert np.array_equal(res.solution.spin_wave, sol.spin_wave)
+
+
+def test_disorder_task_skips_the_top_eigenpair(monkeypatch):
+    spin = np.full(16, 0.25, dtype=complex)
+    args = (4, 0.6, 1.2, 0.02, 7, spin, True, 1e-10)
+    expected = studies._disorder_task(args)
+
+    def unused(_mat):
+        raise AssertionError("the top eigenpair was computed")
+
+    monkeypatch.setattr(studies, "max_efficiency", unused)
+    assert studies._disorder_task(args) == expected
 
 
 def test_scan_is_unimodal_around_optimum():
@@ -233,7 +283,7 @@ def test_hole_samples_match_fresh_sampling(holes):
     reused = studies._samples_at(sample_mode(mode, g0), g)
     fresh = sample_mode(mode, g)
     assert np.max(np.abs(reused.values - fresh.values)) <= 1e-15
-    for name in ("f_det", "f_flux", "model", "w0", "e0", "two_sided"):
+    for name in ("f_flux", "model", "w0", "e0", "two_sided"):
         assert getattr(reused, name) == getattr(fresh, name)
 
 
