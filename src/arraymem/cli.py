@@ -90,12 +90,12 @@ _SCHEMA = {
         "w0_min": ((int, float), lambda v: v > 0, "w0_min must be positive"),
         "w0_max": ((int, float), lambda v: v > 0, "w0_max must be positive"),
         "w0_points": (int, lambda v: v >= 2, "w0_points must be >= 2"),
-        "hole_counts": (list, lambda v: all(isinstance(h, int) and h >= 1 for h in v), "hole_counts must be positive integers"),
-        "sigma_list": (list, lambda v: all(isinstance(s, (int, float)) and s > 0 for s in v), "sigma_list must be positive"),
+        "hole_counts": (list, lambda v: v and all(isinstance(h, int) and h >= 1 for h in v), "hole_counts must be a non-empty list of positive integers"),
+        "sigma_list": (list, lambda v: v and all(isinstance(s, (int, float)) and s > 0 for s in v), "sigma_list must be a non-empty list of positive numbers"),
         "n_samples": (int, lambda v: v >= 1, "n_samples must be positive"),
         "seed": (int, lambda v: v >= 0, "seed must be a non-negative integer"),
         "Td": ((int, float), lambda v: v > 0, "Td must be positive"),
-        "N_list": (list, lambda v: all(isinstance(n, int) and n >= 2 for n in v), "N_list must be integers >= 2"),
+        "N_list": (list, lambda v: v and all(isinstance(n, int) and n >= 2 for n in v), "N_list must be a non-empty list of integers >= 2"),
         "model": (str, lambda v: v in (TWO_LEVEL, ISOTROPIC), f"model must be {TWO_LEVEL!r} or {ISOTROPIC!r}"),
         "allow_large": (bool, lambda v: True, ""),
     },
@@ -479,6 +479,24 @@ def _cmd_validate(config: dict, args, explicit) -> int:
         checks.append((f"K Hermiticity ({label})", res.k.hermiticity_residual(), 1e-10))
         checks.append((
             f"eta bound ({label})", res.solution.diagnostics["eta_bound_violation"], 1e-9
+        ))
+
+    # a perfect lattice is solved in its mirror sector; the full matrix is the oracle
+    for label, g, model in [
+        ("two-level 4x4", build_square_array(4, 0.6), TWO_LEVEL),
+        ("isotropic 3x3", build_square_array(3, 0.6), ISOTROPIC),
+    ]:
+        m = interaction_matrix(g, model)
+        sector = studies.solve(g, DetectionMode(w0=1.2, quadrature_tolerance=mc["tol"]), model)
+        dense = studies.solve(g, None, model, dec=eigendecompose(m), samples=sector.samples)
+        checks.append((
+            f"sector reconstruction ({label})",
+            reconstruction_residual(m, sector.dec), 1e-9,
+        ))
+        checks.append((f"sector vs dense eta ({label})", abs(sector.eta - dense.eta), 1e-12))
+        checks.append((
+            f"sector vs dense spin wave ({label})",
+            float(np.max(np.abs(sector.solution.spin_wave - dense.solution.spin_wave))), 1e-9,
         ))
 
     failed = 0

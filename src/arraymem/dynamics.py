@@ -27,6 +27,7 @@ from .modes import ModeSamples
 from .retrieval import (
     _check_spin_wave,
     _pair_kernel,
+    _spin_coordinates,
     _x_components,
     efficiency_prefactor,
     mode_projections,
@@ -125,6 +126,10 @@ def evolve(
         if method == "spectral":
             if dec is None:
                 dec = eigendecompose(m)
+            if dec.basis is not None:
+                raise InvalidArgumentError(
+                    "evolve propagates every mode, not those of a symmetry sector"
+                )
             coeff = dec.eigenvectors.T @ e0
             phases = np.exp(1j * np.outer(times, dec.eigenvalues))
             e_t = (phases * coeff) @ dec.eigenvectors.T
@@ -230,7 +235,9 @@ def eta_finite_time(
         raise InvalidArgumentError("detection window must be positive")
     s0 = _check_spin_wave(s0, dec.n_atoms)
     proj = mode_projections(dec, samples, contraction)
-    amp0 = _x_components(dec).T @ s0
+    # exact for any s0 in a sector too: what lies outside it never
+    # reaches the beam
+    amp0 = _x_components(dec).T @ _spin_coordinates(dec.basis, s0)
     lam = dec.eigenvalues
     kernel = _pair_kernel(lam)
     decay = np.exp(1j * (lam[:, None] - lam.conj()[None, :]) * t_d)

@@ -15,6 +15,12 @@ coupling matrix to
 with the divergent real self-term dropped (a resonance-frequency
 renormalization) and the imaginary part fixed so a lone atom decays at
 exactly the single-atom rate.
+
+On a perfect lattice M commutes with the mirrors x -> -x and y -> -y, and
+the x-polarized beam lies in one of their four symmetry sectors. A real
+orthonormal basis Q of that sector turns M into the complex symmetric
+Q^T M Q of about a quarter of its size, which carries every mode the beam
+can reach; holes and disorder break the mirrors and keep the full matrix.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, SingularGeometryError, SingularPointError
-from .geometry import Geometry
+from .geometry import X_HAT, Geometry, _lattice_sites
 
 K0 = 2.0 * np.pi
 
@@ -67,16 +73,83 @@ class ModelRows:
 
 
 @dataclass(frozen=True)
+class SectorBasis:
+    """Real orthonormal basis of the mirror-symmetry sector of a perfect
+    lattice that the x-polarized beam excites.
+
+    q:    (size, n) columns over the rows of M
+    q_x:  (N_a, n_x) the x rows of the first n_x columns of q, the only
+          columns with weight on the rows the spin wave couples to
+    """
+
+    q: np.ndarray
+    q_x: np.ndarray
+
+    def project(self, a: np.ndarray) -> np.ndarray:
+        """Q^T A Q, made exactly symmetric (it is so up to roundoff)."""
+        r = self.q.T @ a @ self.q
+        return 0.5 * (r + r.T)
+
+
+def _parity_basis(n: int, sign: float) -> np.ndarray:
+    """Orthonormal columns v over 0..n-1 with v[n-1-i] = sign * v[i]."""
+    half = n // 2
+    i = np.arange(half)
+    q = np.zeros((n, half + (n % 2 if sign > 0 else 0)))
+    q[i, i] = np.sqrt(0.5)
+    q[n - 1 - i, i] = sign * np.sqrt(0.5)
+    if q.shape[1] > half:
+        q[half, half] = 1.0
+    return q
+
+
+def sector_basis(g: Geometry, model: str) -> SectorBasis | None:
+    """The beam's mirror sector of a perfect lattice; None for any other
+    geometry, whose matrix is solved whole.
+
+    Site i*N + j sits at x index i and y index j, so a function of the
+    sites with parities (a, b) under the two mirrors is a Kronecker product
+    of 1D parity vectors. The two-level beam E_x d_x is even/even. In the
+    isotropic model the (site, component) rows also flip with the mirrored
+    component, and the beam (E_x even/even, E_z odd in x) lies in the
+    sector whose x, y and z rows are even/even, odd/odd and odd/even
+    functions of the sites; its x columns come first.
+    """
+    n = g.linear_size
+    perfect = (
+        not g.hole_indices
+        and g.sigma == 0.0
+        and np.array_equal(g.positions, _lattice_sites(n, g.lattice_constant))
+        and np.all(g.dipole_orientations == X_HAT)
+    )
+    if not perfect:
+        return None
+    even, odd = _parity_basis(n, 1.0), _parity_basis(n, -1.0)
+    q_x = np.kron(even, even)
+    if model != ISOTROPIC:
+        return SectorBasis(q=q_x, q_x=q_x)
+    blocks = (q_x, np.kron(odd, odd), np.kron(odd, even))
+    q = np.zeros((3 * n * n, sum(b.shape[1] for b in blocks)))
+    col = 0
+    for component, b in enumerate(blocks):
+        q[component::3, col : col + b.shape[1]] = b
+        col += b.shape[1]
+    return SectorBasis(q=q, q_x=q_x)
+
+
+@dataclass(frozen=True)
 class InteractionMatrix(ModelRows):
     """Dense complex symmetric coupling matrix.
 
     entries: (N_a, N_a) for the two-level model or (3 N_a, 3 N_a) for the
     isotropic three-excited-state model, with rows/columns of the latter
     ordered atom-major as (atom 0 x, y, z, atom 1 x, ...).
+    basis:   the symmetry sector to solve M in, None for all of it
     """
 
     entries: np.ndarray
     model: str
+    basis: SectorBasis | None = None
 
     @property
     def size(self) -> int:

@@ -105,17 +105,27 @@ def _field_block(w0, e0, rho, z, tol, flux_weight=False):
 
 
 def _field_components(w0, e0, rho, z, tol, flux_weight=False):
-    """Chunked wrapper around _field_block."""
+    """Chunked wrapper around _field_block, run once per distinct (rho, z).
+
+    The fields depend on the point only through (rho, z), which a centred
+    lattice repeats up to eight times.
+    """
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if z.size == 1:
         z = np.full_like(rho, z[0])
-    ex = np.empty(len(rho), dtype=complex)
-    g = np.empty(len(rho), dtype=complex)
-    for lo in range(0, len(rho), _FIELD_CHUNK):
+    points, inverse = np.unique(
+        np.stack([rho, z], axis=1), axis=0, return_inverse=True
+    )
+    ex = np.empty(len(points), dtype=complex)
+    g = np.empty(len(points), dtype=complex)
+    for lo in range(0, len(points), _FIELD_CHUNK):
         sl = slice(lo, lo + _FIELD_CHUNK)
-        ex[sl], g[sl] = _field_block(w0, e0, rho[sl], z[sl], tol, flux_weight)
-    return ex, g
+        ex[sl], g[sl] = _field_block(
+            w0, e0, points[sl, 0], points[sl, 1], tol, flux_weight
+        )
+    inverse = inverse.reshape(-1)
+    return ex[inverse], g[inverse]
 
 
 @dataclass

@@ -21,6 +21,11 @@ the spin wave still couples through the x components only (rows/columns of
 K), while the mode projection contracts either the full sampled field
 vector (physically consistent default) or just its x part ("x-only", for
 comparison).
+
+When the eigensystem was solved in the beam's mirror sector (basis Q), K
+is assembled over the sector's x columns Q_x: the K over the atoms is
+Q_x K Q_x^T, so an atom-space spin wave s enters as Q_x^T s and the
+optimum lifts back as Q_x times the top eigenvector.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalError, SingularPairError
-from .greens import ISOTROPIC
+from .greens import ISOTROPIC, SectorBasis
 from .modes import ModeSamples
 from .spectral import SpectralDecomposition
 
@@ -78,17 +83,28 @@ def mode_projections(
             field[0::3] = samples.values[:, 0].conj()
         else:
             raise InvalidArgumentError(f"unknown contraction {contraction!r}")
-        return vecs.T @ field
-    if samples.values.ndim != 1 or len(samples.values) != dec.size:
+    elif samples.values.ndim != 1 or len(samples.values) != dec.size:
         raise InvalidArgumentError("sample count does not match decomposition size")
-    return vecs.T @ samples.values.conj()
+    else:
+        field = samples.values.conj()
+    if dec.basis is not None:
+        field = dec.basis.q.T @ field
+    return vecs.T @ field
 
 
 def _x_components(dec: SpectralDecomposition) -> np.ndarray:
-    """Rows of the eigenvector matrix the spin wave couples to."""
+    """Rows of the eigenvector matrix the spin wave couples to: the x rows
+    of M, or in a sector the x columns of its basis."""
+    if dec.basis is not None:
+        return dec.eigenvectors[: dec.basis.q_x.shape[1]]
     if dec.model == ISOTROPIC:
         return dec.eigenvectors[0::3, :]
     return dec.eigenvectors
+
+
+def _spin_coordinates(basis: SectorBasis | None, s: np.ndarray) -> np.ndarray:
+    """An atom-space spin wave in the coordinates K is assembled over."""
+    return s if basis is None else basis.q_x.T @ s
 
 
 def efficiency_prefactor(samples: ModeSamples) -> float:
@@ -101,16 +117,21 @@ def efficiency_prefactor(samples: ModeSamples) -> float:
 
 @dataclass(frozen=True)
 class EfficiencyMatrix:
-    """Hermitian efficiency matrix over atom indices plus its prefactor."""
+    """Hermitian efficiency matrix plus its prefactor.
+
+    k is over the atoms, or over the x columns Q_x of the sector basis the
+    eigensystem was solved in; the K over the atoms is then Q_x k Q_x^T.
+    """
 
     k: np.ndarray
     prefactor: float
     model: str
     contraction: str
+    basis: SectorBasis | None = None
 
     @property
     def n_atoms(self) -> int:
-        return self.k.shape[0]
+        return self.k.shape[0] if self.basis is None else self.basis.q_x.shape[0]
 
     def hermiticity_residual(self) -> float:
         return float(
@@ -143,6 +164,7 @@ def k_matrix(
         prefactor=efficiency_prefactor(samples),
         model=dec.model,
         contraction=contraction,
+        basis=dec.basis,
     )
     res = mat.hermiticity_residual()
     if res >= HERMITICITY_RTOL:
@@ -163,13 +185,19 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
 def max_efficiency(mat: EfficiencyMatrix) -> RetrievalSolution:
     """Maximal efficiency and the spin wave that achieves it."""
     evals, evecs = np.linalg.eigh(mat.k)
+    top_vec = evecs[:, -1]
+    if mat.basis is not None:
+        # the K over the atoms has the same spectrum plus zeros for the
+        # atom-space directions outside the sector
+        top_vec = mat.basis.q_x @ top_vec
+        evals = np.sort(np.concatenate([evals, np.zeros(mat.n_atoms - len(evals))]))
     top = evals[-1]
     eta = float(mat.prefactor * top)
     gap = float(top - evals[-2]) if len(evals) > 1 else np.inf
     degenerate = len(evals) > 1 and gap <= DEGENERACY_RTOL * max(abs(top), 1e-300)
     # eta is s K s* with s entering unconjugated, so the optimizer is the
     # conjugate of the top eigenvector
-    spin = _fix_phase(evecs[:, -1].conj())
+    spin = _fix_phase(top_vec.conj())
     spin = spin / np.linalg.norm(spin)
     diagnostics = {
         "spectral_gap": gap,
@@ -198,7 +226,7 @@ def _check_spin_wave(s, n_atoms: int) -> np.ndarray:
 
 def efficiency_of_spin_wave(mat: EfficiencyMatrix, s) -> float:
     """eta for a given normalized initial spin wave (no silent rescaling)."""
-    s = _check_spin_wave(s, mat.n_atoms)
+    s = _spin_coordinates(mat.basis, _check_spin_wave(s, mat.n_atoms))
     return float(mat.prefactor * np.real(s @ (mat.k @ s.conj())))
 
 

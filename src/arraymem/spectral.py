@@ -7,6 +7,11 @@ not return this normalization: eigenvectors come back unit in the
 Hermitian sense, and within (near-)degenerate clusters they need not be
 bilinearly orthogonal at all. This module restores the bilinear structure
 as a post-pass and turns the identities into hard, checked invariants.
+
+When M carries a symmetry-sector basis Q (greens.sector_basis), the
+eigensystem is that of Q^T M Q: its eigenvectors are the sector
+coordinates of the eigenvectors Q v of M, and the decomposition carries
+Q along.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DefectiveSpectrumError, InvalidArgumentError
-from .greens import InteractionMatrix, ModelRows
+from .greens import InteractionMatrix, ModelRows, SectorBasis
 
 BILINEAR_TOL = 1e-8
 DECAY_TOL = 1e-10
@@ -37,6 +42,10 @@ class SpectralDecomposition(ModelRows):
     bilinear_condition:   max |V^T V - I| entry
     completeness_residual:max |V V^T - I| entry
     model:                model tag of the source matrix
+    trace_residual:       |sum lambda - tr A| / |tr A| of the decomposed
+                          matrix A (0 unless measured by eigendecompose)
+    basis:                the sector basis Q when A = Q^T M Q, None when
+                          A = M; eigenvectors of M are then Q v_xi
     """
 
     eigenvalues: np.ndarray
@@ -44,9 +53,14 @@ class SpectralDecomposition(ModelRows):
     bilinear_condition: float
     completeness_residual: float
     model: str
+    trace_residual: float = 0.0
+    basis: SectorBasis | None = None
 
     @property
     def size(self) -> int:
+        """Rows of M, in the sector as outside it."""
+        if self.basis is not None:
+            return self.basis.q.shape[0]
         return len(self.eigenvalues)
 
     def min_decay_rate(self) -> float:
@@ -58,10 +72,7 @@ class SpectralDecomposition(ModelRows):
             "bilinear_condition": self.bilinear_condition,
             "completeness_residual": self.completeness_residual,
             "min_im_lambda": float(self.eigenvalues.imag.min()),
-            "trace_residual": float(
-                abs(self.eigenvalues.sum() - 0.5j * self.size)
-                / (0.5 * self.size)
-            ),
+            "trace_residual": self.trace_residual,
         }
 
 
@@ -93,12 +104,15 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
 
 
 def eigendecompose(m: InteractionMatrix) -> SpectralDecomposition:
-    """Full eigensystem of M with bilinear normalization and diagnostics."""
+    """Eigensystem of M, or of Q^T M Q when M carries a sector basis Q,
+    with bilinear normalization and diagnostics."""
     a = m.entries
     if not np.all(np.isfinite(a)):
         raise InvalidArgumentError("interaction matrix has non-finite entries")
     if not np.array_equal(a, a.T):
         raise InvalidArgumentError("interaction matrix is not symmetric")
+    if m.basis is not None:
+        a = m.basis.project(a)
 
     lam, vecs = scipy.linalg.eig(a)
 
@@ -133,12 +147,15 @@ def eigendecompose(m: InteractionMatrix) -> SpectralDecomposition:
     gram = vecs.T @ vecs
     bilinear = float(np.max(np.abs(gram - np.eye(len(lam)))))
     completeness = float(np.max(np.abs(vecs @ vecs.T - np.eye(len(lam)))))
+    trace = np.trace(a)
     dec = SpectralDecomposition(
         eigenvalues=lam,
         eigenvectors=vecs,
         bilinear_condition=bilinear,
         completeness_residual=completeness,
         model=m.model,
+        trace_residual=float(abs(lam.sum() - trace) / max(abs(trace), 1e-300)),
+        basis=m.basis,
     )
     _check_invariants(dec)
     return dec
@@ -153,10 +170,10 @@ def _check_invariants(dec: SpectralDecomposition) -> None:
     min_im = dec.eigenvalues.imag.min()
     if min_im <= -DECAY_TOL:
         problems.append(f"negative collective decay rate, Im lambda = {min_im:.3e}")
-    trace = dec.eigenvalues.sum()
-    expected = 0.5j * dec.size
-    if abs(trace - expected) > TRACE_RTOL * abs(expected):
-        problems.append(f"trace identity violated, sum lambda = {trace:.6e}")
+    if dec.trace_residual > TRACE_RTOL:
+        problems.append(
+            f"trace identity violated, sum lambda = {dec.eigenvalues.sum():.6e}"
+        )
     if problems:
         raise DefectiveSpectrumError(
             "spectral invariants violated: " + "; ".join(problems)
@@ -164,8 +181,8 @@ def _check_invariants(dec: SpectralDecomposition) -> None:
 
 
 def reconstruction_residual(m: InteractionMatrix, dec: SpectralDecomposition) -> float:
-    """Max-norm of V Lambda V^T - M relative to max |M|."""
+    """Max-norm of V Lambda V^T - A relative to max |A|, for the matrix A
+    that was decomposed (M, or Q^T M Q in a sector)."""
+    a = m.entries if dec.basis is None else dec.basis.project(m.entries)
     rebuilt = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.T
-    return float(
-        np.max(np.abs(rebuilt - m.entries)) / np.max(np.abs(m.entries))
-    )
+    return float(np.max(np.abs(rebuilt - a)) / np.max(np.abs(a)))

@@ -28,7 +28,7 @@ from . import __version__ as _version
 from . import blas
 from .errors import FitWindowError, InvalidArgumentError
 from .geometry import apply_position_disorder, build_square_array, remove_holes
-from .greens import ISOTROPIC, TWO_LEVEL, interaction_matrix
+from .greens import ISOTROPIC, TWO_LEVEL, interaction_matrix, sector_basis
 from .modes import DetectionMode, ModeSamples, sample_mode
 from .retrieval import (
     EfficiencyMatrix,
@@ -120,12 +120,15 @@ def solve(
 ) -> Result:
     """eta_max = p lambda_max(K) for one geometry and detection mode.
 
-    A given dec (one eigensystem shared by every waist of a geometry) or
-    samples (the beam sliced from a parent lattice) is used as it is;
-    with samples given, mode is not read.
+    A perfect lattice is solved in the mirror sector of the beam, any
+    other geometry whole. A given dec (one eigensystem shared by every
+    waist of a geometry) or samples (the beam sliced from a parent
+    lattice) is used as it is; with samples given, mode is not read.
+    The samples cover every atom either way.
     """
     if dec is None:
-        dec = eigendecompose(interaction_matrix(g, model))
+        m = interaction_matrix(g, model)
+        dec = eigendecompose(replace(m, basis=sector_basis(g, model)))
     if samples is None:
         samples = sample_mode(mode, g, model)
     return Result(dec=dec, samples=samples, k=k_matrix(dec, samples))

@@ -251,3 +251,26 @@ def test_hole_range_flag_parsing(tmp_path, capsys):
     assert _int_list("1-4") == [1, 2, 3, 4]
     assert _int_list("2,5,9") == [2, 5, 9]
     assert _int_list("1-3,7") == [1, 2, 3, 7]
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["holes", "--hole-counts", "5-3"], "study.hole_counts"),
+        (["isotropic", "--N-list", "9-6"], "study.N_list"),
+    ],
+)
+def test_empty_range_flag_is_a_config_error(tmp_path, capsys, argv, key):
+    code, out, err = run(argv + ["--out", str(tmp_path), "--no-timestamp"], capsys)
+    assert code == 2
+    assert key in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("key", ["hole_counts", "sigma_list", "N_list"])
+def test_empty_study_list_in_config_is_rejected(tmp_path, capsys, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"study": {key: []}}))
+    code, _, err = run(["optimal-waist", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert f"study.{key}" in err

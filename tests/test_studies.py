@@ -126,16 +126,16 @@ def test_optimal_waist_fallback_keeps_the_best_result(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "g, model, sliced",
+    "g, model, sliced, sector",
     [
-        (build_square_array(4, 0.6), TWO_LEVEL, False),
-        (remove_holes(build_square_array(4, 0.6), [0, 5]), TWO_LEVEL, True),
-        (apply_position_disorder(build_square_array(4, 0.6), 0.03, 99), TWO_LEVEL, False),
-        (build_square_array(3, 0.6), ISOTROPIC, False),
+        (build_square_array(4, 0.6), TWO_LEVEL, False, True),
+        (remove_holes(build_square_array(4, 0.6), [0, 5]), TWO_LEVEL, True, False),
+        (apply_position_disorder(build_square_array(4, 0.6), 0.03, 99), TWO_LEVEL, False, False),
+        (build_square_array(3, 0.6), ISOTROPIC, False, True),
     ],
     ids=["perfect-4x4", "holes-4x4", "disordered-4x4", "isotropic-3x3"],
 )
-def test_solve_matches_hand_chain(g, model, sliced):
+def test_solve_matches_hand_chain(g, model, sliced, sector):
     mode = DetectionMode(w0=1.2)
     if sliced:
         samples = studies._samples_at(sample_mode(mode, build_square_array(4, 0.6)), g)
@@ -145,9 +145,19 @@ def test_solve_matches_hand_chain(g, model, sliced):
         res = studies.solve(g, mode, model)
     mat = k_matrix(eigendecompose(interaction_matrix(g, model)), samples)
     sol = max_efficiency(mat)
-    assert res.eta == sol.eta_max
-    assert np.array_equal(res.k.k, mat.k)
-    assert np.array_equal(res.solution.spin_wave, sol.spin_wave)
+    assert (res.dec.basis is not None) == sector
+    if not sector:
+        # holes and disorder run the dense chain itself
+        assert res.eta == sol.eta_max
+        assert np.array_equal(res.k.k, mat.k)
+        assert np.array_equal(res.solution.spin_wave, sol.spin_wave)
+        return
+    # a perfect lattice is solved in its mirror sector: another algorithm
+    # for the same K = Q_x K_r Q_x^T
+    q_x = res.k.basis.q_x
+    assert abs(res.eta - sol.eta_max) <= 1e-12
+    assert np.max(np.abs(q_x @ res.k.k @ q_x.T - mat.k)) <= 1e-12
+    assert np.max(np.abs(res.solution.spin_wave - sol.spin_wave)) <= 1e-9
 
 
 def test_disorder_task_skips_the_top_eigenpair(monkeypatch):
