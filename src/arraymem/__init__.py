@@ -35,12 +35,7 @@ from .retrieval import (
     k_matrix,
     max_efficiency,
 )
-from .dynamics import (
-    AmplitudeTrajectory,
-    ControlSchedule,
-    eta_finite_time,
-    evolve,
-)
+from .dynamics import eta_finite_time
 
 __version__ = "0.1.0"
 
@@ -68,9 +63,6 @@ __all__ = [
     "k_matrix",
     "max_efficiency",
     "efficiency_of_spin_wave",
-    "ControlSchedule",
-    "AmplitudeTrajectory",
-    "evolve",
     "eta_finite_time",
     "__version__",
 ]

@@ -159,13 +159,18 @@ def _validate_config(config: dict) -> None:
 
 
 def _int_list(text: str) -> list:
-    """Parse '1,2,5' or '1-20' (inclusive range) into a list of ints."""
+    """Parse '1,2,5' or '1-20' (inclusive range) into a list of ints.
+
+    A descending range such as '5-3' is a ValueError, not an empty range.
+    """
     out = []
     for part in text.split(","):
         part = part.strip()
         if "-" in part[1:]:
-            lo, hi = part.split("-", 1)
-            out.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(p) for p in part.split("-", 1))
+            if lo > hi:
+                raise ValueError(f"descending range {part!r}")
+            out.extend(range(lo, hi + 1))
         else:
             out.append(int(part))
     return out
@@ -187,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--N", type=int, help="array linear size")
         p.add_argument("--d", type=float, help="lattice constant (wavelengths)")
-        p.add_argument("--holes", type=_int_list, help="hole site indices, e.g. 3,17")
+        p.add_argument("--holes", help="hole site indices, e.g. 3,17")
         p.add_argument("--sigma", type=float, help="position disorder std")
         p.add_argument("--geometry-seed", type=int, help="disorder seed")
         p.add_argument("--w0", type=float, help="beam waist (wavelengths)")
@@ -214,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w0-points", type=int)
     common(sub.add_parser("optimal-waist", help="optimal waist and minimal error"))
     p = common(sub.add_parser("holes", help="random-hole Monte Carlo regression"))
-    p.add_argument("--hole-counts", type=_int_list, help="e.g. 1-20 or 1,5,10")
+    p.add_argument("--hole-counts", help="e.g. 1-20 or 1,5,10")
     p.add_argument("--samples", type=int)
     p = common(sub.add_parser("disorder", help="position-disorder Monte Carlo"))
     p.add_argument("--sigma-list", type=_float_list)
@@ -222,9 +227,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = common(sub.add_parser("finite-time", help="finite detection-window error"))
     p.add_argument("--Td", type=float)
     p = common(sub.add_parser("isotropic", help="two-level vs isotropic comparison"))
-    p.add_argument("--N-list", type=_int_list)
+    p.add_argument("--N-list")
     common(sub.add_parser("validate", help="projection and spectral invariant suite"))
     return parser
+
+
+# integer-list flags are parsed here rather than by argparse, so that a
+# malformed list is reported against its config key like any other value
+_INT_LIST_FLAGS = ("holes", "hole_counts", "N_list")
 
 
 def _apply_flags(config: dict, args: argparse.Namespace, explicit: set) -> None:
@@ -253,6 +263,11 @@ def _apply_flags(config: dict, args: argparse.Namespace, explicit: set) -> None:
     for attr, (section, key) in mapping.items():
         value = getattr(args, attr, None)
         if value is not None:
+            if attr in _INT_LIST_FLAGS:
+                try:
+                    value = _int_list(value)
+                except ValueError as exc:
+                    raise ConfigError(f"config error at {section}.{key}: {exc}")
             config[section][key] = value
             explicit.add(f"{section}.{key}")
     if getattr(args, "no_timestamp", None):

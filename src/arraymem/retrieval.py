@@ -18,9 +18,7 @@ wave is the conjugate of its top eigenvector.
 
 For the isotropic model the eigenvectors have 3 N_a orientation components;
 the spin wave still couples through the x components only (rows/columns of
-K), while the mode projection contracts either the full sampled field
-vector (physically consistent default) or just its x part ("x-only", for
-comparison).
+K), while the mode projection contracts the full sampled field vector.
 
 When the eigensystem was solved in the beam's mirror sector (basis Q), K
 is assembled over the sector's x columns Q_x: the K over the atoms is
@@ -41,8 +39,6 @@ from .spectral import SpectralDecomposition
 
 S_CROSS_SECTION = 3.0 / (2.0 * np.pi)
 PAIR_DENOM_FLOOR = 1e-14
-FULL_CONTRACTION = "full"
-X_ONLY_CONTRACTION = "x-only"
 HERMITICITY_RTOL = 1e-10
 NORM_TOL = 1e-9
 DEGENERACY_RTOL = 1e-12
@@ -62,11 +58,7 @@ def _pair_kernel(lam: np.ndarray) -> np.ndarray:
     return 1j / denom
 
 
-def mode_projections(
-    dec: SpectralDecomposition,
-    samples: ModeSamples,
-    contraction: str = FULL_CONTRACTION,
-) -> np.ndarray:
+def mode_projections(dec: SpectralDecomposition, samples: ModeSamples) -> np.ndarray:
     """P_xi = v_xi . E*: overlap of each eigenmode with the detection mode."""
     vecs = dec.eigenvectors
     if samples.model != dec.model:
@@ -76,13 +68,7 @@ def mode_projections(
     if dec.model == ISOTROPIC:
         if samples.values.shape != (dec.n_atoms, 3):
             raise InvalidArgumentError("isotropic samples must be (N_a, 3) vectors")
-        if contraction == FULL_CONTRACTION:
-            field = samples.values.conj().reshape(-1)
-        elif contraction == X_ONLY_CONTRACTION:
-            field = np.zeros(dec.size, dtype=complex)
-            field[0::3] = samples.values[:, 0].conj()
-        else:
-            raise InvalidArgumentError(f"unknown contraction {contraction!r}")
+        field = samples.values.conj().reshape(-1)
     elif samples.values.ndim != 1 or len(samples.values) != dec.size:
         raise InvalidArgumentError("sample count does not match decomposition size")
     else:
@@ -126,7 +112,6 @@ class EfficiencyMatrix:
     k: np.ndarray
     prefactor: float
     model: str
-    contraction: str
     basis: SectorBasis | None = None
 
     @property
@@ -148,13 +133,9 @@ class RetrievalSolution:
     diagnostics: dict
 
 
-def k_matrix(
-    dec: SpectralDecomposition,
-    samples: ModeSamples,
-    contraction: str = FULL_CONTRACTION,
-) -> EfficiencyMatrix:
+def k_matrix(dec: SpectralDecomposition, samples: ModeSamples) -> EfficiencyMatrix:
     """Assemble K as two dense products over the mode basis."""
-    proj = mode_projections(dec, samples, contraction)
+    proj = mode_projections(dec, samples)
     kernel = _pair_kernel(dec.eigenvalues)
     weighted = kernel * np.outer(proj, proj.conj())
     vx = _x_components(dec)
@@ -163,7 +144,6 @@ def k_matrix(
         k=k,
         prefactor=efficiency_prefactor(samples),
         model=dec.model,
-        contraction=contraction,
         basis=dec.basis,
     )
     res = mat.hermiticity_residual()

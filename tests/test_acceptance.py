@@ -11,13 +11,11 @@ import numpy as np
 import pytest
 
 from arraymem import (
-    ControlSchedule,
     DetectionMode,
     apply_position_disorder,
     build_square_array,
     eigendecompose,
     eta_finite_time,
-    evolve,
     interaction_matrix,
     k_matrix,
     max_efficiency,
@@ -26,6 +24,7 @@ from arraymem import (
     validate_projection,
 )
 from arraymem import studies
+from ode_oracle import ControlSchedule, evolve
 
 WORKERS = 2
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -251,6 +255,38 @@ def test_hole_range_flag_parsing(tmp_path, capsys):
     assert _int_list("1-4") == [1, 2, 3, 4]
     assert _int_list("2,5,9") == [2, 5, 9]
     assert _int_list("1-3,7") == [1, 2, 3, 7]
+
+
+def test_descending_range_flag_is_an_argument_error(tmp_path, capsys):
+    from arraymem.cli import _int_list
+
+    with pytest.raises(ValueError, match="descending"):
+        _int_list("5-3,7")
+    code, _, err = run(
+        ["holes", "--hole-counts", "5-3,7", "--out", str(tmp_path), "--no-timestamp"],
+        capsys,
+    )
+    assert code == 2
+    assert "study.hole_counts" in err and "descending range '5-3'" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_import_leaves_out_the_ode_solvers():
+    # the ODE oracle lives with the tests; the CLI needs only scipy.linalg
+    # and scipy.special, and importing scipy.integrate (which loads
+    # scipy.optimize) would add about a quarter to its start-up
+    code = (
+        "import sys, arraymem.cli; "
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
 
 
 @pytest.mark.parametrize(

@@ -2,20 +2,24 @@ import numpy as np
 import pytest
 
 from arraymem import (
-    ControlSchedule,
     DetectionMode,
     build_square_array,
     eigendecompose,
     eta_finite_time,
-    evolve,
     interaction_matrix,
     k_matrix,
     max_efficiency,
     sample_mode,
 )
-from arraymem.dynamics import PIECEWISE, eta_from_trajectory
 from arraymem.errors import InvalidArgumentError
 from arraymem.retrieval import efficiency_of_spin_wave
+from ode_oracle import (
+    PIECEWISE,
+    ControlSchedule,
+    eta_from_trajectory,
+    evolve,
+    trajectory_to_rows,
+)
 
 
 @pytest.fixture(scope="module")
@@ -154,8 +158,6 @@ def test_finite_time_requires_positive_window(array_3x3):
 
 
 def test_trajectory_csv_rows(array_3x3):
-    from arraymem.dynamics import trajectory_to_rows
-
     _, m, dec, samples, sol = array_3x3
     traj = evolve(m, sol.spin_wave, ControlSchedule(), 2.0, n_steps=21, dec=dec)
     rows = trajectory_to_rows(samples, traj)

@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from arraymem import (
     ISOTROPIC,
     TWO_LEVEL,
     DetectionMode,
+    apply_position_disorder,
     build_square_array,
     eigendecompose,
     efficiency_of_spin_wave,
@@ -16,13 +20,9 @@ from arraymem import (
 )
 from arraymem.errors import InvalidArgumentError, SingularPairError
 from arraymem.modes import ModeSamples
-from arraymem.retrieval import (
-    FULL_CONTRACTION,
-    X_ONLY_CONTRACTION,
-    efficiency_prefactor,
-    solution_to_dict,
-)
+from arraymem.retrieval import efficiency_prefactor, solution_to_dict
 from arraymem.spectral import SpectralDecomposition
+from arraymem import studies
 
 
 def pipeline(geometry, w0=1.5, model=TWO_LEVEL, two_sided=True):
@@ -184,13 +184,15 @@ def test_dark_pair_guard():
 def test_isotropic_contractions_coincide_for_planar_arrays():
     # in-plane separations give G_xz = G_yz = 0, so z-polarized eigenmodes
     # never acquire x components: the z part of the sampled field cannot
-    # reach K and both contraction conventions agree exactly on a planar
-    # array (they differ only out of plane)
+    # reach K, and on a planar array contracting the full field or just its
+    # x part gives the same K (they differ only out of plane)
     g = build_square_array(3, 0.6)
     dec = eigendecompose(interaction_matrix(g, ISOTROPIC))
     samples = sample_mode(DetectionMode(w0=1.2), g, ISOTROPIC)
-    full = k_matrix(dec, samples, FULL_CONTRACTION)
-    xonly = k_matrix(dec, samples, X_ONLY_CONTRACTION)
+    x_values = np.zeros_like(samples.values)
+    x_values[:, 0] = samples.values[:, 0]
+    full = k_matrix(dec, samples)
+    xonly = k_matrix(dec, replace(samples, values=x_values))
     assert full.k.shape == (9, 9)
     np.testing.assert_allclose(
         full.k, xonly.k, rtol=0, atol=1e-12 * np.max(np.abs(full.k))
@@ -217,3 +219,30 @@ def test_solution_export_is_json_ready():
     doc = solution_to_dict(sol, w0=1.5, geometry_json=g.to_json())
     text = json.dumps(doc)
     assert "eta_max" in text
+
+
+@pytest.mark.parametrize(
+    "geometry, model, sector",
+    [
+        (build_square_array(4, 0.6), TWO_LEVEL, True),
+        (build_square_array(4, 0.6), ISOTROPIC, True),
+        (remove_holes(build_square_array(5, 0.6), [0, 7, 13, 21]), TWO_LEVEL, False),
+        (apply_position_disorder(build_square_array(4, 0.6), 0.03, 11), TWO_LEVEL, False),
+    ],
+    ids=["perfect-4-two-level", "perfect-4-isotropic", "holes-5", "disorder-4"],
+)
+def test_k_matrix_is_the_controllability_gramian(geometry, model, sector):
+    # K = int u u^H dt with u(t) = exp(iMt) E* solves the Lyapunov equation
+    # (iM) X + X (iM)^H = -E* E^T; Bartels-Stewart gives X with no
+    # eigenvectors at all, and K is its block on the x rows and columns
+    res = studies.solve(geometry, DetectionMode(w0=1.2), model)
+    assert (res.dec.basis is not None) == sector
+    m = interaction_matrix(geometry, model).entries
+    b = res.samples.values.conj().reshape(-1)
+    gramian = scipy.linalg.solve_continuous_lyapunov(1j * m, -np.outer(b, b.conj()))
+    x = slice(None, None, 3) if model == ISOTROPIC else slice(None)
+    k = res.k.k
+    if sector:
+        q_x = res.dec.basis.q_x
+        k = q_x @ k @ q_x.T
+    assert np.max(np.abs(k - gramian[x, x])) <= 1e-10 * np.max(np.abs(k))

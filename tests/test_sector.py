@@ -8,14 +8,12 @@ import pytest
 from arraymem import (
     ISOTROPIC,
     TWO_LEVEL,
-    ControlSchedule,
     DetectionMode,
     apply_position_disorder,
     build_square_array,
     detection_field,
     eigendecompose,
     eta_finite_time,
-    evolve,
     interaction_matrix,
     remove_holes,
     sample_mode,
@@ -25,6 +23,7 @@ from arraymem.modes import _FIELD_CHUNK
 from arraymem.retrieval import efficiency_of_spin_wave
 from arraymem.greens import sector_basis
 from arraymem import studies
+from ode_oracle import ControlSchedule, evolve
 
 SIZES = (1, 2, 3, 4, 5, 8)
 MODELS = (TWO_LEVEL, ISOTROPIC)
