@@ -4,7 +4,9 @@ Commands map one-to-one onto the study drivers; every run writes a CSV
 table and/or a JSON summary that embeds the fully resolved configuration,
 and prints a one-line human summary. Configuration comes from an optional
 JSON file (nested sections below) with command-line flags taking
-precedence; unknown keys are rejected rather than ignored.
+precedence; unknown keys are rejected rather than ignored. Each setting is
+one row of ``_SETTINGS``, which gives its default, its check and its flag,
+so a flag and a config key pass the same check.
 
 Config file schema (all keys optional, defaults shown):
 
@@ -26,9 +28,11 @@ Exit codes: 0 success, 1 numerical failure, 2 configuration failure.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -41,121 +45,6 @@ from .modes import DetectionMode, samples_to_rows, validate_projection
 from .retrieval import solution_to_dict
 from .spectral import eigendecompose, reconstruction_residual
 from . import studies
-
-COMMANDS = (
-    "efficiency",
-    "scan-waist",
-    "optimal-waist",
-    "holes",
-    "disorder",
-    "finite-time",
-    "isotropic",
-    "validate",
-)
-
-_DEFAULTS = {
-    "geometry": {"N": 10, "d": 0.6, "holes": [], "sigma": 0.0, "seed": 12345},
-    "mode": {"w0": 1.5, "two_sided": True, "tol": 1e-10},
-    "study": {
-        "w0_min": 1.0,
-        "w0_max": 4.0,
-        "w0_points": 12,
-        "hole_counts": list(range(1, 21)),
-        "sigma_list": [0.006, 0.012, 0.024, 0.048],
-        "n_samples": 100,
-        "seed": 12345,
-        "Td": 10.0,
-        "N_list": [6, 10, 14],
-        "model": TWO_LEVEL,
-        "allow_large": False,
-    },
-    "output": {"dir": ".", "timestamp": True},
-    "workers": None,
-}
-
-_SCHEMA = {
-    "geometry": {
-        "N": (int, lambda v: v >= 1, "N must be a positive integer"),
-        "d": ((int, float), lambda v: v > 0, "d must be positive"),
-        "holes": (list, lambda v: all(isinstance(h, int) for h in v), "holes must be integers"),
-        "sigma": ((int, float), lambda v: v >= 0, "sigma must be non-negative"),
-        "seed": (int, lambda v: v >= 0, "seed must be a non-negative integer"),
-    },
-    "mode": {
-        "w0": ((int, float), lambda v: v > 0, "w0 must be positive"),
-        "two_sided": (bool, lambda v: True, ""),
-        "tol": ((int, float), lambda v: 0 < v <= 1e-6, "tol must be in (0, 1e-6]"),
-    },
-    "study": {
-        "w0_min": ((int, float), lambda v: v > 0, "w0_min must be positive"),
-        "w0_max": ((int, float), lambda v: v > 0, "w0_max must be positive"),
-        "w0_points": (int, lambda v: v >= 2, "w0_points must be >= 2"),
-        "hole_counts": (list, lambda v: v and all(isinstance(h, int) and h >= 1 for h in v), "hole_counts must be a non-empty list of positive integers"),
-        "sigma_list": (list, lambda v: v and all(isinstance(s, (int, float)) and s > 0 for s in v), "sigma_list must be a non-empty list of positive numbers"),
-        "n_samples": (int, lambda v: v >= 1, "n_samples must be positive"),
-        "seed": (int, lambda v: v >= 0, "seed must be a non-negative integer"),
-        "Td": ((int, float), lambda v: v > 0, "Td must be positive"),
-        "N_list": (list, lambda v: v and all(isinstance(n, int) and n >= 2 for n in v), "N_list must be a non-empty list of integers >= 2"),
-        "model": (str, lambda v: v in (TWO_LEVEL, ISOTROPIC), f"model must be {TWO_LEVEL!r} or {ISOTROPIC!r}"),
-        "allow_large": (bool, lambda v: True, ""),
-    },
-    "output": {
-        "dir": (str, lambda v: True, ""),
-        "timestamp": (bool, lambda v: True, ""),
-    },
-}
-
-
-class ConfigError(Exception):
-    pass
-
-
-def _merge_config(path: str | None) -> tuple:
-    """Defaults overlaid with the config file; returns the keys the user set."""
-    config = json.loads(json.dumps(_DEFAULTS))  # deep copy
-    explicit: set = set()
-    if path is None:
-        return config, explicit
-    try:
-        with open(path) as fh:
-            user = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}")
-    if not isinstance(user, dict):
-        raise ConfigError("config root must be a JSON object")
-    for section, content in user.items():
-        if section == "workers":
-            if content is not None and (not isinstance(content, int) or content < 1):
-                raise ConfigError("config error at workers: must be a positive integer")
-            config["workers"] = content
-            explicit.add("workers")
-            continue
-        if section not in _SCHEMA:
-            raise ConfigError(f"config error at {section}: unknown section")
-        if not isinstance(content, dict):
-            raise ConfigError(f"config error at {section}: expected an object")
-        for key, value in content.items():
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"config error at {section}.{key}: unknown key")
-            config[section][key] = value
-            explicit.add(f"{section}.{key}")
-    return config, explicit
-
-
-def _validate_config(config: dict) -> None:
-    for section, keys in _SCHEMA.items():
-        for key, (types, check, msg) in keys.items():
-            value = config[section][key]
-            if isinstance(value, bool) and types is int:
-                raise ConfigError(f"config error at {section}.{key}: {msg}")
-            if not isinstance(value, types):
-                raise ConfigError(
-                    f"config error at {section}.{key}: expected {types}, got {value!r}"
-                )
-            if not check(value):
-                raise ConfigError(f"config error at {section}.{key}: {msg}")
 
 
 def _int_list(text: str) -> list:
@@ -180,6 +69,159 @@ def _float_list(text: str) -> list:
     return [float(p) for p in text.split(",")]
 
 
+class _Setting(NamedTuple):
+    """One setting: its place in the config, its default and check, and its flags."""
+
+    key: str  # "section.key", or a key at the config root
+    default: object
+    types: type | tuple
+    check: Callable | None = None
+    message: str = ""  # reported when the check fails
+    flags: dict = {}  # option string -> argparse keywords; two form an exclusive pair
+    commands: tuple | None = None  # the commands that take the flags; None: all
+    # flag text -> value for the list flags, applied after argparse so that a
+    # malformed list is reported against its config key like any other value
+    parse: Callable | None = None
+
+
+# rows in the order `--help` lists the flags: every command's, then each command's own
+_SETTINGS = (
+    _Setting("geometry.N", 10, int, lambda v: v >= 1, "N must be a positive integer",
+             {"--N": dict(type=int, help="array linear size")}),
+    _Setting("geometry.d", 0.6, (int, float), lambda v: v > 0, "d must be positive",
+             {"--d": dict(type=float, help="lattice constant (wavelengths)")}),
+    _Setting("geometry.holes", [], list, lambda v: all(isinstance(h, int) for h in v),
+             "holes must be integers",
+             {"--holes": dict(help="hole site indices, e.g. 3,17")}, parse=_int_list),
+    _Setting("geometry.sigma", 0.0, (int, float), lambda v: v >= 0, "sigma must be non-negative",
+             {"--sigma": dict(type=float, help="position disorder std")}),
+    _Setting("geometry.seed", 12345, int, lambda v: v >= 0, "seed must be a non-negative integer",
+             {"--geometry-seed": dict(type=int, help="disorder seed")}),
+    _Setting("mode.w0", 1.5, (int, float), lambda v: v > 0, "w0 must be positive",
+             {"--w0": dict(type=float, help="beam waist (wavelengths)")}),
+    _Setting("mode.two_sided", True, bool, flags={
+        "--two-sided": dict(action="store_true"), "--one-sided": dict(action="store_false")}),
+    _Setting("mode.tol", 1e-10, (int, float), lambda v: 0 < v <= 1e-6, "tol must be in (0, 1e-6]",
+             {"--tol": dict(type=float, help="quadrature tolerance")}),
+    _Setting("study.model", TWO_LEVEL, str, lambda v: v in (TWO_LEVEL, ISOTROPIC),
+             f"model must be {TWO_LEVEL!r} or {ISOTROPIC!r}",
+             {"--model": dict(choices=[TWO_LEVEL, ISOTROPIC])}),
+    _Setting("study.allow_large", False, bool, flags={"--allow-large": dict(action="store_true")}),
+    _Setting("output.dir", ".", str, flags={"--out": dict(help="output directory")}),
+    _Setting("output.timestamp", True, bool, flags={
+        "--no-timestamp": dict(action="store_false", help="deterministic artifact names")}),
+    _Setting("workers", None, (int, type(None)), lambda v: v is None or v >= 1,
+             "workers must be a positive integer",
+             {"--workers": dict(type=int, help="parallel workers for Monte Carlo")}),
+    _Setting("study.seed", 12345, int, lambda v: v >= 0, "seed must be a non-negative integer",
+             {"--seed": dict(type=int, help="study seed")}),
+    _Setting("study.w0_min", 1.0, (int, float), lambda v: v > 0, "w0_min must be positive",
+             {"--w0-min": dict(type=float)}, ("scan-waist",)),
+    _Setting("study.w0_max", 4.0, (int, float), lambda v: v > 0, "w0_max must be positive",
+             {"--w0-max": dict(type=float)}, ("scan-waist",)),
+    _Setting("study.w0_points", 12, int, lambda v: v >= 2, "w0_points must be >= 2",
+             {"--w0-points": dict(type=int)}, ("scan-waist",)),
+    _Setting("study.hole_counts", list(range(1, 21)), list,
+             lambda v: v and all(isinstance(h, int) and h >= 1 for h in v),
+             "hole_counts must be a non-empty list of positive integers",
+             {"--hole-counts": dict(help="e.g. 1-20 or 1,5,10")}, ("holes",), _int_list),
+    _Setting("study.sigma_list", [0.006, 0.012, 0.024, 0.048], list,
+             lambda v: v and all(isinstance(s, (int, float)) and s > 0 for s in v),
+             "sigma_list must be a non-empty list of positive numbers",
+             {"--sigma-list": {}}, ("disorder",), _float_list),
+    _Setting("study.n_samples", 100, int, lambda v: v >= 1, "n_samples must be positive",
+             {"--samples": dict(type=int)}, ("holes", "disorder")),
+    _Setting("study.Td", 10.0, (int, float), lambda v: v > 0, "Td must be positive",
+             {"--Td": dict(type=float)}, ("finite-time",)),
+    _Setting("study.N_list", [6, 10, 14], list,
+             lambda v: v and all(isinstance(n, int) and n >= 2 for n in v),
+             "N_list must be a non-empty list of integers >= 2",
+             {"--N-list": {}}, ("isotropic",), _int_list),
+)
+_KEYS = {s.key for s in _SETTINGS}
+
+
+class ConfigError(Exception):
+    pass
+
+
+def _node(config: dict, key: str) -> tuple:
+    """(the dict that holds a dotted config key, the key's last name)."""
+    *sections, name = key.split(".")
+    for section in sections:
+        config = config.setdefault(section, {})
+    return config, name
+
+
+def _put(config: dict, key: str, value) -> None:
+    node, name = _node(config, key)
+    node[name] = value
+
+
+def _dest(setting: _Setting) -> str:
+    """The argparse attribute of a setting's flags, named after the first."""
+    return next(iter(setting.flags)).lstrip("-").replace("-", "_")
+
+
+def _merge_config(path: str | None) -> tuple:
+    """Defaults overlaid with the config file; returns the keys the user set."""
+    config: dict = {}
+    for s in _SETTINGS:
+        _put(config, s.key, copy.deepcopy(s.default))
+    explicit: set = set()
+    if path is None:
+        return config, explicit
+    try:
+        with open(path) as fh:
+            user = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}")
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config file is not valid JSON: {exc}")
+    if not isinstance(user, dict):
+        raise ConfigError("config root must be a JSON object")
+    for section, content in user.items():
+        if section in _KEYS:
+            entries = {section: content}
+        elif isinstance(config.get(section), dict):
+            if not isinstance(content, dict):
+                raise ConfigError(f"config error at {section}: expected an object")
+            entries = {f"{section}.{key}": value for key, value in content.items()}
+        else:
+            raise ConfigError(f"config error at {section}: unknown section")
+        for key, value in entries.items():
+            if key not in _KEYS:
+                raise ConfigError(f"config error at {key}: unknown key")
+            _put(config, key, value)
+            explicit.add(key)
+    return config, explicit
+
+
+def _apply_flags(config: dict, args: argparse.Namespace, explicit: set) -> None:
+    for s in _SETTINGS:
+        value = getattr(args, _dest(s), None)
+        if value is None:
+            continue
+        if s.parse is not None:
+            try:
+                value = s.parse(value)
+            except ValueError as exc:
+                raise ConfigError(f"config error at {s.key}: {exc}")
+        _put(config, s.key, value)
+        explicit.add(s.key)
+
+
+def _validate_config(config: dict) -> None:
+    for s in _SETTINGS:
+        node, name = _node(config, s.key)
+        value = node[name]
+        if not isinstance(value, s.types):
+            raise ConfigError(f"config error at {s.key}: expected {s.types}, got {value!r}")
+        bool_as_number = isinstance(value, bool) and s.types is not bool
+        if bool_as_number or (s.check is not None and not s.check(value)):
+            raise ConfigError(f"config error at {s.key}: {s.message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="arraymem",
@@ -187,93 +229,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"arraymem {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, (help_text, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--N", type=int, help="array linear size")
-        p.add_argument("--d", type=float, help="lattice constant (wavelengths)")
-        p.add_argument("--holes", help="hole site indices, e.g. 3,17")
-        p.add_argument("--sigma", type=float, help="position disorder std")
-        p.add_argument("--geometry-seed", type=int, help="disorder seed")
-        p.add_argument("--w0", type=float, help="beam waist (wavelengths)")
-        sided = p.add_mutually_exclusive_group()
-        sided.add_argument("--two-sided", dest="two_sided", action="store_true", default=None)
-        sided.add_argument("--one-sided", dest="two_sided", action="store_false", default=None)
-        p.add_argument("--tol", type=float, help="quadrature tolerance")
-        p.add_argument("--model", choices=[TWO_LEVEL, ISOTROPIC])
-        p.add_argument("--allow-large", action="store_true", default=None)
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--no-timestamp", action="store_true", default=None,
-                       help="deterministic artifact names")
-        p.add_argument("--workers", type=int, help="parallel workers for Monte Carlo")
-        p.add_argument("--seed", type=int, help="study seed")
-        return p
-
-    p = common(sub.add_parser("efficiency", help="single-configuration efficiency"))
-    p.add_argument("--optimize-waist", action="store_true")
-    p.add_argument("--dump-samples", action="store_true",
-                   help="also write the sampled mode field as CSV")
-    p = common(sub.add_parser("scan-waist", help="error vs beam waist + C fit"))
-    p.add_argument("--w0-min", type=float)
-    p.add_argument("--w0-max", type=float)
-    p.add_argument("--w0-points", type=int)
-    common(sub.add_parser("optimal-waist", help="optimal waist and minimal error"))
-    p = common(sub.add_parser("holes", help="random-hole Monte Carlo regression"))
-    p.add_argument("--hole-counts", help="e.g. 1-20 or 1,5,10")
-    p.add_argument("--samples", type=int)
-    p = common(sub.add_parser("disorder", help="position-disorder Monte Carlo"))
-    p.add_argument("--sigma-list", type=_float_list)
-    p.add_argument("--samples", type=int)
-    p = common(sub.add_parser("finite-time", help="finite detection-window error"))
-    p.add_argument("--Td", type=float)
-    p = common(sub.add_parser("isotropic", help="two-level vs isotropic comparison"))
-    p.add_argument("--N-list")
-    common(sub.add_parser("validate", help="projection and spectral invariant suite"))
+        for s in _SETTINGS:
+            if s.commands is None or command in s.commands:
+                group = p.add_mutually_exclusive_group() if len(s.flags) > 1 else p
+                for option, kwargs in s.flags.items():
+                    group.add_argument(option, dest=_dest(s), default=None, **kwargs)
+        if command == "efficiency":
+            p.add_argument("--optimize-waist", action="store_true")
+            p.add_argument("--dump-samples", action="store_true",
+                           help="also write the sampled mode field as CSV")
     return parser
-
-
-# integer-list flags are parsed here rather than by argparse, so that a
-# malformed list is reported against its config key like any other value
-_INT_LIST_FLAGS = ("holes", "hole_counts", "N_list")
-
-
-def _apply_flags(config: dict, args: argparse.Namespace, explicit: set) -> None:
-    mapping = {
-        "N": ("geometry", "N"),
-        "d": ("geometry", "d"),
-        "holes": ("geometry", "holes"),
-        "sigma": ("geometry", "sigma"),
-        "geometry_seed": ("geometry", "seed"),
-        "w0": ("mode", "w0"),
-        "two_sided": ("mode", "two_sided"),
-        "tol": ("mode", "tol"),
-        "w0_min": ("study", "w0_min"),
-        "w0_max": ("study", "w0_max"),
-        "w0_points": ("study", "w0_points"),
-        "hole_counts": ("study", "hole_counts"),
-        "sigma_list": ("study", "sigma_list"),
-        "samples": ("study", "n_samples"),
-        "seed": ("study", "seed"),
-        "Td": ("study", "Td"),
-        "N_list": ("study", "N_list"),
-        "model": ("study", "model"),
-        "allow_large": ("study", "allow_large"),
-        "out": ("output", "dir"),
-    }
-    for attr, (section, key) in mapping.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            if attr in _INT_LIST_FLAGS:
-                try:
-                    value = _int_list(value)
-                except ValueError as exc:
-                    raise ConfigError(f"config error at {section}.{key}: {exc}")
-            config[section][key] = value
-            explicit.add(f"{section}.{key}")
-    if getattr(args, "no_timestamp", None):
-        config["output"]["timestamp"] = False
-    if getattr(args, "workers", None) is not None:
-        config["workers"] = args.workers
 
 
 def _build_geometry(gc: dict):
@@ -285,18 +253,26 @@ def _build_geometry(gc: dict):
     return g
 
 
-def _outdir(config: dict) -> Path:
-    path = Path(config["output"]["dir"])
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _workers(config: dict) -> int:
     return config["workers"] or studies.default_workers()
 
 
-def _summary_payload(config: dict, body: dict) -> dict:
-    return {"config": config, "version": __version__, **body}
+def _write(config: dict, command: str, n: int, body: dict, fields=None, rows=None) -> Path:
+    """Write a run's JSON summary, and its CSV table when rows are given.
+
+    Returns the path the command prints: the table if there is one, else
+    the summary.
+    """
+    out = Path(config["output"]["dir"])
+    out.mkdir(parents=True, exist_ok=True)
+    stem = studies.artifact_stem(command, n, config["geometry"]["d"], config["output"]["timestamp"])
+    summary = out / f"{stem}.json"
+    table = None if rows is None else summary.with_suffix(".csv")
+    if table:
+        studies.write_csv(table, fields, rows)
+        body = {**body, "csv": table.name}
+    studies.write_summary(summary, {"config": config, "version": __version__, **body})
+    return table or summary
 
 
 def _solve(config: dict, g, optimize: bool) -> tuple:
@@ -327,12 +303,9 @@ def _cmd_efficiency(config: dict, args, explicit) -> int:
     else:
         sol_doc = solution_to_dict(res.solution, w0, g.to_json(include_positions=False))
         sol_doc["spectral"] = res.dec.diagnostics()
-    out = _outdir(config)
-    stem = studies.artifact_stem("efficiency", gc["N"], gc["d"], config["output"]["timestamp"])
-    path = out / f"{stem}.json"
-    studies.write_summary(path, _summary_payload(config, {"solution": sol_doc}))
+    path = _write(config, "efficiency", gc["N"], {"solution": sol_doc})
     if args.dump_samples:
-        studies.write_csv(out / f"{stem}_samples.csv",
+        studies.write_csv(path.with_name(f"{path.stem}_samples.csv"),
                           ["site", "x", "y", "re_e", "im_e"], samples_to_rows(g, res.samples))
     print(f"eta={res.eta:.9f} eps={1.0 - res.eta:.3e} w0={w0:g} -> {path}")
     return 0
@@ -352,30 +325,19 @@ def _cmd_scan_waist(config: dict, args, explicit) -> int:
         fit_note = f"C={fit.parameters['C']:.3e}"
     except FitWindowError:
         fit_doc, fit_note = None, "C=n/a (no clipping-free window)"
-    out = _outdir(config)
-    stem = studies.artifact_stem("scan-waist", gc["N"], gc["d"], config["output"]["timestamp"])
-    csv_path = out / f"{stem}.csv"
-    studies.write_csv(csv_path, ["w0", "eta", "epsilon", "clip_term", "spectral_gap"], scan.rows)
-    studies.write_summary(out / f"{stem}.json", _summary_payload(
-        config, {"fit": fit_doc, "provenance": scan.provenance, "csv": csv_path.name}))
+    path = _write(config, "scan-waist", gc["N"], {"fit": fit_doc, "provenance": scan.provenance},
+                  ["w0", "eta", "epsilon", "clip_term", "spectral_gap"], scan.rows)
     best = int(np.argmin(scan.epsilon))
-    print(f"min eps={scan.epsilon[best]:.3e} at w0={scan.axis[best]:g} {fit_note} -> {csv_path}")
+    print(f"min eps={scan.epsilon[best]:.3e} at w0={scan.axis[best]:g} {fit_note} -> {path}")
     return 0
 
 
 def _cmd_optimal_waist(config: dict, args, explicit) -> int:
-    gc, mc, sc = config["geometry"], config["mode"], config["study"]
-    opt = studies.optimal_waist(
-        gc["N"], gc["d"], model=sc["model"], two_sided=mc["two_sided"],
-        tol=mc["tol"], allow_large=sc["allow_large"],
-    )
-    out = _outdir(config)
-    stem = studies.artifact_stem("optimal-waist", gc["N"], gc["d"], config["output"]["timestamp"])
-    path = out / f"{stem}.json"
-    studies.write_summary(path, _summary_payload(config, {
+    _, _, opt = _solve(config, _build_geometry(config["geometry"]), True)
+    path = _write(config, "optimal-waist", config["geometry"]["N"], {
         "w0_opt": opt.w0, "epsilon_opt": opt.epsilon, "eta": opt.eta,
         "n_evaluations": opt.n_evaluations, "bracket_fallback": opt.bracket_fallback,
-    }))
+    })
     print(f"w0_opt={opt.w0:.4f} eps_opt={opt.epsilon:.3e} -> {path}")
     return 0
 
@@ -387,19 +349,11 @@ def _cmd_holes(config: dict, args, explicit) -> int:
         seed=sc["seed"], two_sided=mc["two_sided"], tol=mc["tol"],
         workers=_workers(config), allow_large=sc["allow_large"],
     )
-    out = _outdir(config)
-    stem = studies.artifact_stem("holes", gc["N"], gc["d"], config["output"]["timestamp"])
-    csv_path = out / f"{stem}.csv"
-    studies.write_csv(
-        csv_path,
-        ["n_holes", "sample", "holes", "intensity_fraction", "eta_def", "rel_loss"],
-        hs.rows,
-    )
-    studies.write_summary(out / f"{stem}.json", _summary_payload(config, {
+    path = _write(config, "holes", gc["N"], {
         "alpha": hs.alpha.parameters["alpha"], "alpha_stderr": hs.alpha.stderr["alpha"],
-        "eta_perfect": hs.eta_perfect, "provenance": hs.provenance, "csv": csv_path.name,
-    }))
-    print(f"alpha={hs.alpha.parameters['alpha']:.4f} (+/- {hs.alpha.stderr['alpha']:.4f}) -> {csv_path}")
+        "eta_perfect": hs.eta_perfect, "provenance": hs.provenance,
+    }, ["n_holes", "sample", "holes", "intensity_fraction", "eta_def", "rel_loss"], hs.rows)
+    print(f"alpha={hs.alpha.parameters['alpha']:.4f} (+/- {hs.alpha.stderr['alpha']:.4f}) -> {path}")
     return 0
 
 
@@ -414,15 +368,10 @@ def _cmd_disorder(config: dict, args, explicit) -> int:
     sigmas = [r["sigma"] for r in ds.summary]
     losses = [r["loss_mean"] for r in ds.summary]
     slope = studies.loglog_slope(sigmas, losses) if len(sigmas) > 1 else float("nan")
-    out = _outdir(config)
-    stem = studies.artifact_stem("disorder", gc["N"], gc["d"], config["output"]["timestamp"])
-    csv_path = out / f"{stem}.csv"
-    studies.write_csv(csv_path, ["sigma", "sample", "seed", "eta_dis"], ds.rows)
-    studies.write_summary(out / f"{stem}.json", _summary_payload(config, {
-        "summary": ds.summary, "loglog_slope": slope,
-        "provenance": ds.provenance, "csv": csv_path.name,
-    }))
-    print(f"slope(log loss vs log sigma)={slope:.3f} -> {csv_path}")
+    path = _write(config, "disorder", gc["N"], {
+        "summary": ds.summary, "loglog_slope": slope, "provenance": ds.provenance,
+    }, ["sigma", "sample", "seed", "eta_dis"], ds.rows)
+    print(f"slope(log loss vs log sigma)={slope:.3f} -> {path}")
     return 0
 
 
@@ -437,37 +386,24 @@ def _cmd_finite_time(config: dict, args, explicit) -> int:
         eta_td = eta_finite_time(res.dec, res.samples, spin, float(td))
         rows.append({"Td": float(td), "eta_Td": eta_td,
                      "relative_error": 1.0 - eta_td / eta_inf})
-    out = _outdir(config)
-    stem = studies.artifact_stem("finite-time", gc["N"], gc["d"], config["output"]["timestamp"])
-    csv_path = out / f"{stem}.csv"
-    studies.write_csv(csv_path, ["Td", "eta_Td", "relative_error"], rows)
-    studies.write_summary(out / f"{stem}.json", _summary_payload(config, {
-        "w0": w0, "eta_infinite": eta_inf, "final": rows[-1], "csv": csv_path.name,
-    }))
-    print(f"1 - eta_Td/eta = {rows[-1]['relative_error']:.3e} at Td={sc['Td']:g} -> {csv_path}")
+    path = _write(config, "finite-time", gc["N"], {
+        "w0": w0, "eta_infinite": eta_inf, "final": rows[-1],
+    }, ["Td", "eta_Td", "relative_error"], rows)
+    print(f"1 - eta_Td/eta = {rows[-1]['relative_error']:.3e} at Td={sc['Td']:g} -> {path}")
     return 0
 
 
 def _cmd_isotropic(config: dict, args, explicit) -> int:
     gc, mc, sc = config["geometry"], config["mode"], config["study"]
     rows = studies.isotropic_comparison(
-        sc["N_list"], gc["d"], tol=mc["tol"], allow_large=sc["allow_large"]
+        sc["N_list"], gc["d"], two_sided=mc["two_sided"], tol=mc["tol"],
+        allow_large=sc["allow_large"],
     )
-    out = _outdir(config)
-    stem = studies.artifact_stem("isotropic", max(sc["N_list"]), gc["d"],
-                                 config["output"]["timestamp"])
-    csv_path = out / f"{stem}.csv"
-    studies.write_csv(
-        csv_path,
-        ["N", "eps_two_level", "eps_isotropic", "relative_increase",
-         "w0_two_level", "w0_isotropic"],
-        rows,
-    )
-    studies.write_summary(out / f"{stem}.json", _summary_payload(config, {
-        "rows": rows, "csv": csv_path.name,
-    }))
+    path = _write(config, "isotropic", max(sc["N_list"]), {"rows": rows}, [
+        "N", "eps_two_level", "eps_isotropic", "relative_increase", "w0_two_level", "w0_isotropic",
+    ], rows)
     rels = ", ".join(f"N={r['N']}: +{100 * r['relative_increase']:.0f}%" for r in rows)
-    print(f"isotropic error increase {rels} -> {csv_path}")
+    print(f"isotropic error increase {rels} -> {path}")
     return 0
 
 
@@ -523,15 +459,16 @@ def _cmd_validate(config: dict, args, explicit) -> int:
     return 0 if failed == 0 else 1
 
 
-_HANDLERS = {
-    "efficiency": _cmd_efficiency,
-    "scan-waist": _cmd_scan_waist,
-    "optimal-waist": _cmd_optimal_waist,
-    "holes": _cmd_holes,
-    "disorder": _cmd_disorder,
-    "finite-time": _cmd_finite_time,
-    "isotropic": _cmd_isotropic,
-    "validate": _cmd_validate,
+# command -> (help, handler)
+_COMMANDS = {
+    "efficiency": ("single-configuration efficiency", _cmd_efficiency),
+    "scan-waist": ("error vs beam waist + C fit", _cmd_scan_waist),
+    "optimal-waist": ("optimal waist and minimal error", _cmd_optimal_waist),
+    "holes": ("random-hole Monte Carlo regression", _cmd_holes),
+    "disorder": ("position-disorder Monte Carlo", _cmd_disorder),
+    "finite-time": ("finite detection-window error", _cmd_finite_time),
+    "isotropic": ("two-level vs isotropic comparison", _cmd_isotropic),
+    "validate": ("projection and spectral invariant suite", _cmd_validate),
 }
 
 
@@ -539,14 +476,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config, explicit = _merge_config(getattr(args, "config", None))
+        config, explicit = _merge_config(args.config)
         _apply_flags(config, args, explicit)
         _validate_config(config)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     try:
-        return _HANDLERS[args.command](config, args, explicit)
+        return _COMMANDS[args.command][1](config, args, explicit)
     except InvalidArgumentError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2

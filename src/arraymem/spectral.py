@@ -95,14 +95,6 @@ def _cluster_eigenvalues(lam: np.ndarray, gap: float) -> list:
     return clusters
 
 
-def _fix_phase(v: np.ndarray) -> np.ndarray:
-    """Resolve the residual sign so the largest component has Re >= 0."""
-    lead = v[np.argmax(np.abs(v))]
-    if lead.real < 0.0 or (lead.real == 0.0 and lead.imag < 0.0):
-        return -v
-    return v
-
-
 def eigendecompose(m: InteractionMatrix) -> SpectralDecomposition:
     """Eigensystem of M, or of Q^T M Q when M carries a sector basis Q,
     with bilinear normalization and diagnostics."""
@@ -130,7 +122,6 @@ def eigendecompose(m: InteractionMatrix) -> SpectralDecomposition:
                 bad.append(idx)
                 continue
             v = v / np.sqrt(q)
-            v = _fix_phase(v)
             vecs[:, idx] = v
             done.append(v)
     if bad:

@@ -510,7 +510,7 @@ def position_disorder_study(
     if any(s <= 0 for s in sigma_list) or sorted(sigma_list) != sigma_list:
         raise InvalidArgumentError("sigma_list must be positive and sorted")
     if w0 is None:
-        opt = optimal_waist(n, d, tol=tol, allow_large=allow_large)
+        opt = optimal_waist(n, d, two_sided=two_sided, tol=tol, allow_large=allow_large)
         w0, res0 = opt.w0, opt.result
     else:
         mode = DetectionMode(w0=float(w0), two_sided=two_sided, quadrature_tolerance=tol)
@@ -575,14 +575,17 @@ def position_disorder_study(
 def isotropic_comparison(
     n_list,
     d: float,
+    two_sided: bool = True,
     tol: float = 1e-10,
     allow_large: bool = False,
 ) -> list:
     """Optimal error of the three-excited-state model vs the two-level one."""
     rows = []
     for n in n_list:
-        tl = optimal_waist(n, d, model=TWO_LEVEL, tol=tol, allow_large=allow_large)
-        iso = optimal_waist(n, d, model=ISOTROPIC, tol=tol, allow_large=allow_large)
+        tl, iso = (
+            optimal_waist(n, d, model=model, two_sided=two_sided, tol=tol, allow_large=allow_large)
+            for model in (TWO_LEVEL, ISOTROPIC)
+        )
         rows.append(
             {
                 "N": int(n),

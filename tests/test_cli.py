@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import pytest
 
 from arraymem import cli, studies
 from arraymem.cli import main
+from arraymem.greens import ISOTROPIC, TWO_LEVEL
 from arraymem.spectral import eigendecompose
 
 
@@ -310,3 +312,73 @@ def test_empty_study_list_in_config_is_rejected(tmp_path, capsys, key):
     code, _, err = run(["optimal-waist", "--config", str(cfg)], capsys)
     assert code == 2
     assert f"study.{key}" in err
+
+
+_EVERY_COMMAND = [
+    "-h", "--help", "--config", "--N", "--d", "--holes", "--sigma", "--geometry-seed",
+    "--w0", "--two-sided", "--one-sided", "--tol", "--model", "--allow-large", "--out",
+    "--no-timestamp", "--workers", "--seed",
+]
+
+
+@pytest.mark.parametrize(
+    "command, own",
+    [
+        ("efficiency", ["--optimize-waist", "--dump-samples"]),
+        ("scan-waist", ["--w0-min", "--w0-max", "--w0-points"]),
+        ("optimal-waist", []),
+        ("holes", ["--hole-counts", "--samples"]),
+        ("disorder", ["--sigma-list", "--samples"]),
+        ("finite-time", ["--Td"]),
+        ("isotropic", ["--N-list"]),
+        ("validate", []),
+    ],
+)
+def test_command_option_strings(command, own):
+    # the benchmark drives finite-time, optimal-waist and holes through
+    # --seed, --workers, --out and --no-timestamp
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = [o for action in sub.choices[command]._actions for o in action.option_strings]
+    assert options == _EVERY_COMMAND + own
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_nonpositive_workers_flag_is_a_config_error(tmp_path, capsys, workers):
+    argv = ["holes", "--N", "3", "--hole-counts", "1", "--samples", "1", "--workers", workers]
+    code, _, err = run(argv + ["--out", str(tmp_path), "--no-timestamp"], capsys)
+    assert code == 2
+    assert "config error at workers" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_disorder_one_sided_scores_against_the_one_sided_optimum(tmp_path, capsys):
+    code, _, _ = run(
+        ["disorder", "--N", "4", "--sigma-list", "1e-6", "--samples", "2", "--one-sided",
+         "--workers", "1", "--out", str(tmp_path), "--no-timestamp"],
+        capsys,
+    )
+    assert code == 0
+    doc = json.loads((tmp_path / "disorder_4_0.6.json").read_text())
+    assert doc["provenance"]["eta_perfect"] == studies.optimal_waist(4, 0.6, two_sided=False).eta
+    assert abs(doc["summary"][0]["loss_mean"]) < 1e-6
+
+
+def test_isotropic_one_sided_compares_one_sided_optima(tmp_path, capsys):
+    code, _, _ = run(
+        ["isotropic", "--N-list", "3", "--one-sided", "--out", str(tmp_path), "--no-timestamp"],
+        capsys,
+    )
+    assert code == 0
+    row = json.loads((tmp_path / "isotropic_3_0.6.json").read_text())["rows"][0]
+    for model, key in ((TWO_LEVEL, "eps_two_level"), (ISOTROPIC, "eps_isotropic")):
+        assert row[key] == studies.optimal_waist(3, 0.6, model=model, two_sided=False).epsilon
+
+
+@pytest.mark.parametrize("geometry", [["--holes", "0,5"], ["--sigma", "0.05"]])
+def test_optimal_waist_solves_the_configured_geometry(tmp_path, capsys, geometry):
+    flags = ["--N", "4", *geometry, "--out", str(tmp_path), "--no-timestamp"]
+    assert run(["optimal-waist", *flags], capsys)[0] == 0
+    assert run(["efficiency", "--optimize-waist", *flags], capsys)[0] == 0
+    opt = json.loads((tmp_path / "optimal-waist_4_0.6.json").read_text())
+    eff = json.loads((tmp_path / "efficiency_4_0.6.json").read_text())["solution"]
+    assert (opt["w0_opt"], opt["epsilon_opt"]) == (eff["w0"], eff["epsilon"])
