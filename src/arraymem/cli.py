@@ -6,7 +6,12 @@ and prints a one-line human summary. Configuration comes from an optional
 JSON file (nested sections below) with command-line flags taking
 precedence; unknown keys are rejected rather than ignored. Each setting is
 one row of ``_SETTINGS``, which gives its default, its check and its flag,
-so a flag and a config key pass the same check.
+so a flag and a config key pass the same check. A command takes only the
+flags its handler reads; a config file may set any key.
+
+The study drivers solve any N they are given. The desk-scale cap (N <= 30
+two-level, N <= 14 isotropic) is checked here, once, before any solve, and
+``--allow-large`` (``study.allow_large``) lifts it.
 
 Config file schema (all keys optional, defaults shown):
 
@@ -69,6 +74,16 @@ def _float_list(text: str) -> list:
     return [float(p) for p in text.split(",")]
 
 
+MAX_N_TWO_LEVEL = 30
+MAX_N_ISOTROPIC = 14
+
+# the commands whose handlers read a setting
+_GEOMETRY = ("efficiency", "scan-waist", "optimal-waist", "finite-time")  # geometry.*, model
+_LATTICE = (*_GEOMETRY, "holes", "disorder")  # N
+_SOLVING = (*_LATTICE, "isotropic")  # d, the beam's sides, the N cap
+_WAIST = ("efficiency", "holes", "disorder", "finite-time")  # a given w0
+
+
 class _Setting(NamedTuple):
     """One setting: its place in the config, its default and check, and its flags."""
 
@@ -84,29 +99,32 @@ class _Setting(NamedTuple):
     parse: Callable | None = None
 
 
-# rows in the order `--help` lists the flags: every command's, then each command's own
+# rows in the order `--help` lists the flags: the shared ones, then each command's own
 _SETTINGS = (
     _Setting("geometry.N", 10, int, lambda v: v >= 1, "N must be a positive integer",
-             {"--N": dict(type=int, help="array linear size")}),
+             {"--N": dict(type=int, help="array linear size")}, _LATTICE),
     _Setting("geometry.d", 0.6, (int, float), lambda v: v > 0, "d must be positive",
-             {"--d": dict(type=float, help="lattice constant (wavelengths)")}),
+             {"--d": dict(type=float, help="lattice constant (wavelengths)")}, _SOLVING),
     _Setting("geometry.holes", [], list, lambda v: all(isinstance(h, int) for h in v),
              "holes must be integers",
-             {"--holes": dict(help="hole site indices, e.g. 3,17")}, parse=_int_list),
+             {"--holes": dict(help="hole site indices, e.g. 3,17")}, _GEOMETRY, _int_list),
     _Setting("geometry.sigma", 0.0, (int, float), lambda v: v >= 0, "sigma must be non-negative",
-             {"--sigma": dict(type=float, help="position disorder std")}),
+             {"--sigma": dict(type=float, help="position disorder std")}, _GEOMETRY),
     _Setting("geometry.seed", 12345, int, lambda v: v >= 0, "seed must be a non-negative integer",
-             {"--geometry-seed": dict(type=int, help="disorder seed")}),
+             {"--geometry-seed": dict(type=int, help="disorder seed")}, _GEOMETRY),
     _Setting("mode.w0", 1.5, (int, float), lambda v: v > 0, "w0 must be positive",
-             {"--w0": dict(type=float, help="beam waist (wavelengths)")}),
+             {"--w0": dict(type=float, help="beam waist (wavelengths)")}, _WAIST),
     _Setting("mode.two_sided", True, bool, flags={
-        "--two-sided": dict(action="store_true"), "--one-sided": dict(action="store_false")}),
+        "--two-sided": dict(action="store_true"), "--one-sided": dict(action="store_false")},
+        commands=_SOLVING),
     _Setting("mode.tol", 1e-10, (int, float), lambda v: 0 < v <= 1e-6, "tol must be in (0, 1e-6]",
              {"--tol": dict(type=float, help="quadrature tolerance")}),
     _Setting("study.model", TWO_LEVEL, str, lambda v: v in (TWO_LEVEL, ISOTROPIC),
              f"model must be {TWO_LEVEL!r} or {ISOTROPIC!r}",
-             {"--model": dict(choices=[TWO_LEVEL, ISOTROPIC])}),
-    _Setting("study.allow_large", False, bool, flags={"--allow-large": dict(action="store_true")}),
+             {"--model": dict(choices=[TWO_LEVEL, ISOTROPIC])}, _GEOMETRY),
+    _Setting("study.allow_large", False, bool, flags={"--allow-large": dict(action="store_true")},
+             commands=_SOLVING),
+    # every command takes these four, read or not: the benchmark passes them to each it runs
     _Setting("output.dir", ".", str, flags={"--out": dict(help="output directory")}),
     _Setting("output.timestamp", True, bool, flags={
         "--no-timestamp": dict(action="store_false", help="deterministic artifact names")}),
@@ -230,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"arraymem {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_text, _) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
+        # no prefix matching: `isotropic --N 4` would otherwise read as --N-list
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
         p.add_argument("--config", help="JSON config file")
         for s in _SETTINGS:
             if s.commands is None or command in s.commands:
@@ -244,6 +263,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_scale(config: dict, command: str) -> None:
+    """Refuse an N above the desk-scale cap of the model it is solved in."""
+    sc = config["study"]
+    if command not in _SOLVING or sc["allow_large"]:
+        return
+    if command == "isotropic":  # each N is solved in both models; isotropic caps lower
+        key, sizes, model = "study.N_list", sc["N_list"], ISOTROPIC
+    else:
+        key, sizes = "geometry.N", [config["geometry"]["N"]]
+        model = sc["model"] if command in _GEOMETRY else TWO_LEVEL
+    cap = MAX_N_ISOTROPIC if model == ISOTROPIC else MAX_N_TWO_LEVEL
+    if max(sizes) > cap:
+        raise ConfigError(
+            f"config error at {key}: N={max(sizes)} exceeds the desk-scale cap {cap} "
+            f"for the {model} model; pass --allow-large to override"
+        )
+
+
 def _build_geometry(gc: dict):
     g = build_square_array(gc["N"], gc["d"])
     if gc["holes"]:
@@ -251,6 +288,11 @@ def _build_geometry(gc: dict):
     if gc["sigma"] > 0:
         g = apply_position_disorder(g, gc["sigma"], gc["seed"])
     return g
+
+
+def _mode(config: dict) -> DetectionMode:
+    mc = config["mode"]
+    return DetectionMode(w0=mc["w0"], two_sided=mc["two_sided"], quadrature_tolerance=mc["tol"])
 
 
 def _workers(config: dict) -> int:
@@ -278,15 +320,11 @@ def _write(config: dict, command: str, n: int, body: dict, fields=None, rows=Non
 def _solve(config: dict, g, optimize: bool) -> tuple:
     """(w0, Result, OptimalWaist or None): g solved at the optimal waist,
     or at the configured one."""
-    gc, mc, sc = config["geometry"], config["mode"], config["study"]
+    mode, model = _mode(config), config["study"]["model"]
     if optimize:
-        opt = studies.optimal_waist(
-            gc["N"], gc["d"], model=sc["model"], two_sided=mc["two_sided"],
-            tol=mc["tol"], allow_large=sc["allow_large"], geometry=g,
-        )
+        opt = studies.optimal_waist(g, mode, model)
         return opt.w0, opt.result, opt
-    mode = DetectionMode(w0=mc["w0"], two_sided=mc["two_sided"], quadrature_tolerance=mc["tol"])
-    return mc["w0"], studies.solve(g, mode, sc["model"]), None
+    return mode.w0, studies.solve(g, mode, model), None
 
 
 def _cmd_efficiency(config: dict, args, explicit) -> int:
@@ -312,12 +350,9 @@ def _cmd_efficiency(config: dict, args, explicit) -> int:
 
 
 def _cmd_scan_waist(config: dict, args, explicit) -> int:
-    gc, mc, sc = config["geometry"], config["mode"], config["study"]
+    gc, sc = config["geometry"], config["study"]
     w0_list = np.geomspace(sc["w0_min"], sc["w0_max"], sc["w0_points"])
-    scan = studies.scan_waist(
-        gc["N"], gc["d"], w0_list, model=sc["model"], two_sided=mc["two_sided"],
-        tol=mc["tol"], allow_large=sc["allow_large"],
-    )
+    scan = studies.scan_waist(_build_geometry(gc), _mode(config), w0_list, sc["model"])
     try:
         fit = studies.fit_error_model(scan, gc["d"])
         fit_doc = {"C": fit.parameters["C"], "C_stderr": fit.stderr["C"],
@@ -343,11 +378,10 @@ def _cmd_optimal_waist(config: dict, args, explicit) -> int:
 
 
 def _cmd_holes(config: dict, args, explicit) -> int:
-    gc, mc, sc = config["geometry"], config["mode"], config["study"]
+    gc, sc = config["geometry"], config["study"]
     hs = studies.hole_study(
-        gc["N"], gc["d"], mc["w0"], sc["hole_counts"], sc["n_samples"],
-        seed=sc["seed"], two_sided=mc["two_sided"], tol=mc["tol"],
-        workers=_workers(config), allow_large=sc["allow_large"],
+        gc["N"], gc["d"], _mode(config), sc["hole_counts"], sc["n_samples"],
+        seed=sc["seed"], workers=_workers(config),
     )
     path = _write(config, "holes", gc["N"], {
         "alpha": hs.alpha.parameters["alpha"], "alpha_stderr": hs.alpha.stderr["alpha"],
@@ -358,12 +392,10 @@ def _cmd_holes(config: dict, args, explicit) -> int:
 
 
 def _cmd_disorder(config: dict, args, explicit) -> int:
-    gc, mc, sc = config["geometry"], config["mode"], config["study"]
+    gc, sc = config["geometry"], config["study"]
     ds = studies.position_disorder_study(
-        gc["N"], gc["d"], sc["sigma_list"], sc["n_samples"], seed=sc["seed"],
-        w0=mc["w0"] if "mode.w0" in explicit else None,
-        two_sided=mc["two_sided"], tol=mc["tol"],
-        workers=_workers(config), allow_large=sc["allow_large"],
+        gc["N"], gc["d"], _mode(config), sc["sigma_list"], sc["n_samples"], seed=sc["seed"],
+        optimize_waist="mode.w0" not in explicit, workers=_workers(config),
     )
     sigmas = [r["sigma"] for r in ds.summary]
     losses = [r["loss_mean"] for r in ds.summary]
@@ -394,11 +426,8 @@ def _cmd_finite_time(config: dict, args, explicit) -> int:
 
 
 def _cmd_isotropic(config: dict, args, explicit) -> int:
-    gc, mc, sc = config["geometry"], config["mode"], config["study"]
-    rows = studies.isotropic_comparison(
-        sc["N_list"], gc["d"], two_sided=mc["two_sided"], tol=mc["tol"],
-        allow_large=sc["allow_large"],
-    )
+    sc = config["study"]
+    rows = studies.isotropic_comparison(sc["N_list"], config["geometry"]["d"], _mode(config))
     path = _write(config, "isotropic", max(sc["N_list"]), {"rows": rows}, [
         "N", "eps_two_level", "eps_isotropic", "relative_increase", "w0_two_level", "w0_isotropic",
     ], rows)
@@ -479,6 +508,7 @@ def main(argv=None) -> int:
         config, explicit = _merge_config(args.config)
         _apply_flags(config, args, explicit)
         _validate_config(config)
+        _check_scale(config, args.command)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2

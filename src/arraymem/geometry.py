@@ -90,10 +90,6 @@ class Geometry:
         np.fill_diagonal(dist_sq, np.inf)
         return float(np.sqrt(max(dist_sq.min(), 0.0)))
 
-    def index_map(self) -> dict:
-        """Map parent-lattice site index -> current atom index."""
-        return {int(s): i for i, s in enumerate(self.site_indices)}
-
     def to_json(self, include_positions: bool = True) -> str:
         doc = {
             "N": int(self.linear_size),

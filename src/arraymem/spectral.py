@@ -63,10 +63,6 @@ class SpectralDecomposition(ModelRows):
             return self.basis.q.shape[0]
         return len(self.eigenvalues)
 
-    def min_decay_rate(self) -> float:
-        """Smallest collective decay rate, 2 min Im(lambda)."""
-        return float(2.0 * self.eigenvalues.imag.min())
-
     def diagnostics(self) -> dict:
         return {
             "bilinear_condition": self.bilinear_condition,

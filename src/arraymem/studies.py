@@ -9,6 +9,12 @@ the optimal-waist scaling eps_opt ~ (log N_a)^2 / (4 N_a^2), the hole
 (defect) regression, the sigma^2 position-disorder law, and the two-level
 vs isotropic comparison. Every Monte Carlo result is reproducible from
 (config, seed); outputs are plain CSV tables plus JSON summaries.
+
+Each driver takes what it studies: one DetectionMode for the beam, whose
+w0 the waist searches replace, and the geometry itself (scan_waist,
+optimal_waist) or the (N, d) of the perfect lattice that a Monte Carlo
+study perturbs. The drivers solve any size they are given; the desk-scale
+cap on N belongs to the command line.
 """
 
 from __future__ import annotations
@@ -39,27 +45,15 @@ from .retrieval import (
 )
 from .spectral import SpectralDecomposition, eigendecompose
 
-MAX_N_TWO_LEVEL = 30
-MAX_N_ISOTROPIC = 14
 DEFAULT_C_SEED = 2.4e-3
 DEFAULT_SEED = 12345
-
-
-def _check_scale(n: int, model: str, allow_large: bool) -> None:
-    cap = MAX_N_ISOTROPIC if model == ISOTROPIC else MAX_N_TWO_LEVEL
-    if n > cap and not allow_large:
-        raise InvalidArgumentError(
-            f"N={n} exceeds the desk-scale cap {cap} for the {model} model; "
-            "pass allow_large=True (--allow-large) to override"
-        )
+W0_TOL = 1e-3  # width of the golden-section bracket at which the waist search stops
 
 
 @dataclass
 class ScanResult:
     """One study axis with per-point efficiencies and provenance."""
 
-    study: str
-    axis_name: str
     axis: list
     eta: list
     epsilon: list
@@ -134,27 +128,17 @@ def solve(
     return Result(dec=dec, samples=samples, k=k_matrix(dec, samples))
 
 
-def scan_waist(
-    n: int,
-    d: float,
-    w0_list,
-    model: str = TWO_LEVEL,
-    two_sided: bool = True,
-    tol: float = 1e-10,
-    allow_large: bool = False,
-) -> ScanResult:
-    """Minimum retrieval error for each waist on the perfect array."""
-    _check_scale(n, model, allow_large)
+def scan_waist(g, mode: DetectionMode, w0_list, model: str = TWO_LEVEL) -> ScanResult:
+    """Minimum retrieval error of geometry g for each waist of the beam mode."""
     w0_list = [float(w) for w in w0_list]
     if any(w <= 0 for w in w0_list) or sorted(w0_list) != w0_list:
         raise InvalidArgumentError("w0_list must be positive and sorted")
-    g = build_square_array(n, d)
+    n, d = g.linear_size, g.lattice_constant
     dec = None
     rows = []
     etas = []
     for w0 in w0_list:
-        mode = DetectionMode(w0=w0, two_sided=two_sided, quadrature_tolerance=tol)
-        res = solve(g, mode, model, dec=dec)
+        res = solve(g, replace(mode, w0=w0), model, dec=dec)
         dec, sol = res.dec, res.solution
         etas.append(sol.eta_max)
         rows.append(
@@ -173,8 +157,6 @@ def scan_waist(
         if eps[i] < eps[i - 1] and eps[i] < eps[i + 1]
     )
     return ScanResult(
-        study="scan-waist",
-        axis_name="w0",
         axis=w0_list,
         eta=etas,
         epsilon=eps,
@@ -183,11 +165,26 @@ def scan_waist(
             "N": n,
             "d": d,
             "model": model,
-            "two_sided": two_sided,
-            "tol": tol,
+            "two_sided": mode.two_sided,
+            "tol": mode.quadrature_tolerance,
             "unimodal": interior_minima <= 1,
             "version": _version,
         },
+    )
+
+
+def _fit_through_origin(model: str, name: str, x, y, window: dict) -> FitResult:
+    """Least-squares slope of y = slope * x, with its standard error."""
+    sxx = np.sum(x * x)
+    slope = float(np.sum(x * y) / sxx)
+    resid = y - slope * x
+    stderr = float(np.sqrt(np.sum(resid**2) / max(len(x) - 1, 1) / sxx))
+    return FitResult(
+        model=model,
+        parameters={name: slope},
+        stderr={name: stderr},
+        window=window,
+        residual_norm=float(np.linalg.norm(resid)),
     )
 
 
@@ -204,21 +201,9 @@ def fit_error_model(scan: ScanResult, d: float) -> FitResult:
     mask = clip < 0.1 * eps
     if not np.any(mask):
         raise FitWindowError("no scan points with clipping below 10% of the error")
-    x = 1.0 / w0[mask] ** 4
-    y = eps[mask] - clip[mask]
-    c = float(np.sum(x * y) / np.sum(x * x))
-    resid = y - c * x
-    dof = max(len(x) - 1, 1)
-    c_err = float(np.sqrt(np.sum(resid**2) / dof / np.sum(x * x)))
-    return FitResult(
-        model="C/w0^4 + clipping",
-        parameters={"C": c},
-        stderr={"C": c_err},
-        window={
-            "criterion": "clip < 0.1*eps",
-            "w0_used": [float(v) for v in w0[mask]],
-        },
-        residual_norm=float(np.linalg.norm(resid)),
+    window = {"criterion": "clip < 0.1*eps", "w0_used": [float(v) for v in w0[mask]]}
+    return _fit_through_origin(
+        "C/w0^4 + clipping", "C", 1.0 / w0[mask] ** 4, eps[mask] - clip[mask], window
     )
 
 
@@ -260,21 +245,11 @@ def _model_seed_waist(n: int, d: float, c: float = DEFAULT_C_SEED) -> float:
     return float(grid[np.argmin(model_error(n, d, grid, c))])
 
 
-def optimal_waist(
-    n: int,
-    d: float,
-    model: str = TWO_LEVEL,
-    two_sided: bool = True,
-    tol: float = 1e-10,
-    w0_tol: float = 1e-3,
-    allow_large: bool = False,
-    geometry=None,
-) -> OptimalWaist:
-    """Golden-section minimization of eps(w0), seeded by the error model."""
-    if n < 2:
+def optimal_waist(g, mode: DetectionMode, model: str = TWO_LEVEL) -> OptimalWaist:
+    """Golden-section minimization of eps(w0) over the waist of the beam
+    mode on geometry g, seeded by the error model of g's parent lattice."""
+    if g.linear_size < 2:
         raise InvalidArgumentError("waist optimization needs N >= 2")
-    _check_scale(n, model, allow_large)
-    g = geometry if geometry is not None else build_square_array(n, d)
     evaluations = {}
     best = None  # only the running best keeps its K
 
@@ -282,14 +257,13 @@ def optimal_waist(
         nonlocal best
         w0 = round(float(w0), 12)
         if w0 not in evaluations:
-            mode = DetectionMode(w0=w0, two_sided=two_sided, quadrature_tolerance=tol)
-            res = solve(g, mode, model, dec=best.dec if best else None)
+            res = solve(g, replace(mode, w0=w0), model, dec=best.dec if best else None)
             evaluations[w0] = 1.0 - res.eta
             if best is None or evaluations[w0] < 1.0 - best.eta:
                 best = res
         return evaluations[w0]
 
-    seed = _model_seed_waist(n, d)
+    seed = _model_seed_waist(g.linear_size, g.lattice_constant)
     fallback = False
     a, b = seed / 1.4, seed * 1.4
     fa, fm, fb = eps_of(a), eps_of(seed), eps_of(b)
@@ -317,7 +291,7 @@ def optimal_waist(
         x1 = hi - invphi * (hi - lo)
         x2 = lo + invphi * (hi - lo)
         f1, f2 = eps_of(x1), eps_of(x2)
-        while hi - lo > w0_tol:
+        while hi - lo > W0_TOL:
             if f1 <= f2:
                 hi, x2, f2 = x2, x1, f1
                 x1 = hi - invphi * (hi - lo)
@@ -390,14 +364,11 @@ class HoleStudy:
 def hole_study(
     n: int,
     d: float,
-    w0: float,
+    mode: DetectionMode,
     hole_counts,
     n_samples: int,
     seed: int = DEFAULT_SEED,
-    two_sided: bool = True,
-    tol: float = 1e-10,
     workers: int = 1,
-    allow_large: bool = False,
 ) -> HoleStudy:
     """Random-hole Monte Carlo with per-configuration re-optimization.
 
@@ -405,11 +376,9 @@ def hole_study(
     detection-mode intensity falling on the removed sites; the slope is
     the defect constant alpha.
     """
-    _check_scale(n, TWO_LEVEL, allow_large)
     hole_counts = [int(h) for h in hole_counts]
     if any(h < 1 or h > 0.2 * n * n for h in hole_counts):
         raise InvalidArgumentError("hole counts must stay within 20% of the sites")
-    mode = DetectionMode(w0=float(w0), two_sided=two_sided, quadrature_tolerance=tol)
     res0 = solve(build_square_array(n, d), mode)
     eta0, samples0 = res0.eta, res0.samples
     weights = samples0.intensities()
@@ -445,17 +414,9 @@ def hole_study(
                 "rel_loss": rel_loss,
             }
         )
-    xs = np.asarray(xs)
-    ys = np.asarray(ys)
-    alpha = float(np.sum(xs * ys) / np.sum(xs * xs))
-    resid = ys - alpha * xs
-    stderr = float(np.sqrt(np.sum(resid**2) / max(len(xs) - 1, 1) / np.sum(xs * xs)))
-    fit = FitResult(
-        model="rel_loss = alpha * intensity_fraction",
-        parameters={"alpha": alpha},
-        stderr={"alpha": stderr},
-        window={"intercept": 0.0, "pooled_samples": len(xs)},
-        residual_norm=float(np.linalg.norm(resid)),
+    fit = _fit_through_origin(
+        "rel_loss = alpha * intensity_fraction", "alpha", np.asarray(xs), np.asarray(ys),
+        {"intercept": 0.0, "pooled_samples": len(xs)},
     )
     return HoleStudy(
         rows=rows,
@@ -464,20 +425,19 @@ def hole_study(
         provenance={
             "N": n,
             "d": d,
-            "w0": w0,
+            "w0": mode.w0,
             "hole_counts": hole_counts,
             "n_samples": n_samples,
             "seed": seed,
-            "tol": tol,
+            "tol": mode.quadrature_tolerance,
             "version": _version,
         },
     )
 
 
 def _disorder_task(args):
-    n, d, w0, sigma, sub_seed, spin_wave, two_sided, tol = args
+    n, d, mode, sigma, sub_seed, spin_wave = args
     g = apply_position_disorder(build_square_array(n, d), sigma, sub_seed)
-    mode = DetectionMode(w0=w0, two_sided=two_sided, quadrature_tolerance=tol)
     return efficiency_of_spin_wave(solve(g, mode).k, np.asarray(spin_wave))
 
 
@@ -491,30 +451,29 @@ class DisorderStudy:
 def position_disorder_study(
     n: int,
     d: float,
+    mode: DetectionMode,
     sigma_list,
     n_samples: int,
     seed: int = DEFAULT_SEED,
-    w0: float | None = None,
-    two_sided: bool = True,
-    tol: float = 1e-10,
+    optimize_waist: bool = False,
     workers: int = 1,
-    allow_large: bool = False,
 ) -> DisorderStudy:
     """Mean efficiency loss under in-plane Gaussian position disorder.
 
-    The spin wave and beam waist stay fixed at the perfect-lattice optimum
-    (no re-optimization), so the result isolates the disorder penalty.
+    The spin wave and beam stay fixed at the perfect-lattice optimum for
+    the beam mode, or for the best waist of that beam with optimize_waist
+    (no re-optimization per configuration), so the result isolates the
+    disorder penalty.
     """
-    _check_scale(n, TWO_LEVEL, allow_large)
     sigma_list = [float(s) for s in sigma_list]
     if any(s <= 0 for s in sigma_list) or sorted(sigma_list) != sigma_list:
         raise InvalidArgumentError("sigma_list must be positive and sorted")
-    if w0 is None:
-        opt = optimal_waist(n, d, two_sided=two_sided, tol=tol, allow_large=allow_large)
-        w0, res0 = opt.w0, opt.result
+    g0 = build_square_array(n, d)
+    if optimize_waist:
+        res0 = optimal_waist(g0, mode).result
+        mode = replace(mode, w0=res0.samples.w0)
     else:
-        mode = DetectionMode(w0=float(w0), two_sided=two_sided, quadrature_tolerance=tol)
-        res0 = solve(build_square_array(n, d), mode)
+        res0 = solve(g0, mode)
     eta0, spin = res0.eta, res0.solution.spin_wave
 
     rng = np.random.default_rng(seed)
@@ -522,9 +481,7 @@ def position_disorder_study(
     tasks = []
     for i, sigma in enumerate(sigma_list):
         for k in range(n_samples):
-            tasks.append(
-                (n, d, w0, sigma, int(sub_seeds[i, k]), spin, two_sided, tol)
-            )
+            tasks.append((n, d, mode, sigma, int(sub_seeds[i, k]), spin))
     etas = _run_tasks(_disorder_task, tasks, workers)
 
     rows = []
@@ -561,31 +518,23 @@ def position_disorder_study(
         provenance={
             "N": n,
             "d": d,
-            "w0": w0,
+            "w0": mode.w0,
             "eta_perfect": eta0,
             "sigma_list": sigma_list,
             "n_samples": n_samples,
             "seed": seed,
-            "tol": tol,
+            "tol": mode.quadrature_tolerance,
             "version": _version,
         },
     )
 
 
-def isotropic_comparison(
-    n_list,
-    d: float,
-    two_sided: bool = True,
-    tol: float = 1e-10,
-    allow_large: bool = False,
-) -> list:
+def isotropic_comparison(n_list, d: float, mode: DetectionMode) -> list:
     """Optimal error of the three-excited-state model vs the two-level one."""
     rows = []
     for n in n_list:
-        tl, iso = (
-            optimal_waist(n, d, model=model, two_sided=two_sided, tol=tol, allow_large=allow_large)
-            for model in (TWO_LEVEL, ISOTROPIC)
-        )
+        g = build_square_array(n, d)
+        tl, iso = (optimal_waist(g, mode, model) for model in (TWO_LEVEL, ISOTROPIC))
         rows.append(
             {
                 "N": int(n),

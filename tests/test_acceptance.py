@@ -26,7 +26,7 @@ from arraymem import (
 from arraymem import studies
 from ode_oracle import ControlSchedule, evolve
 
-WORKERS = 2
+BEAM = DetectionMode(w0=1.5)  # the waist searches replace its w0
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -36,17 +36,17 @@ def report(num: int, name: str, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def scan20():
-    return studies.scan_waist(20, 0.6, np.geomspace(1.5, 4.0, 10))
+    return studies.scan_waist(build_square_array(20, 0.6), BEAM, np.geomspace(1.5, 4.0, 10))
 
 
 @pytest.fixture(scope="module")
 def optima():
-    return {n: studies.optimal_waist(n, 0.6) for n in (10, 14, 20)}
+    return {n: studies.optimal_waist(build_square_array(n, 0.6), BEAM) for n in (10, 14, 20)}
 
 
 def test_criterion_1_four_by_four_benchmark():
     start = time.perf_counter()
-    opt = studies.optimal_waist(4, 0.6)
+    opt = studies.optimal_waist(build_square_array(4, 0.6), BEAM)
     elapsed = time.perf_counter() - start
     ok = opt.epsilon < 0.01 and elapsed < 1.0
     report(
@@ -95,7 +95,7 @@ def test_criterion_5_clipping_regime():
     details = []
     ok = True
     for n, w0_list in ((10, [2.8, 3.4, 4.2, 5.0]), (20, [5.5, 6.5, 8.0])):
-        scan = studies.scan_waist(n, 0.6, w0_list)
+        scan = studies.scan_waist(build_square_array(n, 0.6), BEAM, w0_list)
         for w0, eps in zip(scan.axis, scan.epsilon):
             clip = float(studies.clipping_error(n, 0.6, w0))
             # quartic-term dominance check (10:1) with the fitted constant
@@ -110,11 +110,11 @@ def test_criterion_6_hole_regression():
     hs = studies.hole_study(
         10,
         0.6,
-        1.5,
+        DetectionMode(w0=1.5),
         list(range(1, 21)),
         100,
         seed=studies.DEFAULT_SEED,
-        workers=WORKERS,
+        workers=studies.default_workers(),
     )
     alpha = hs.alpha.parameters["alpha"]
     ok = 1.10 <= alpha <= 1.40
@@ -133,11 +133,11 @@ def test_criterion_7_position_disorder_slope(optima):
     ds = studies.position_disorder_study(
         10,
         d,
+        DetectionMode(w0=optima[10].w0),
         sigma_list,
         50,
         seed=studies.DEFAULT_SEED,
-        w0=optima[10].w0,
-        workers=WORKERS,
+        workers=studies.default_workers(),
     )
     losses = [row["loss_mean"] for row in ds.summary]
     slope = studies.loglog_slope(sigma_list, losses)
@@ -174,7 +174,7 @@ def test_optimal_waist_stays_inside_array(optima):
 
 
 def test_criterion_9_isotropic_band():
-    rows = studies.isotropic_comparison([6, 10, 14], 0.6)
+    rows = studies.isotropic_comparison([6, 10, 14], 0.6, BEAM)
     ok = True
     details = []
     for row in rows:

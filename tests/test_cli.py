@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from arraymem import DetectionMode, apply_position_disorder, build_square_array, remove_holes
 from arraymem import cli, studies
 from arraymem.cli import main
 from arraymem.greens import ISOTROPIC, TWO_LEVEL
@@ -314,11 +315,19 @@ def test_empty_study_list_in_config_is_rejected(tmp_path, capsys, key):
     assert f"study.{key}" in err
 
 
-_EVERY_COMMAND = [
-    "-h", "--help", "--config", "--N", "--d", "--holes", "--sigma", "--geometry-seed",
-    "--w0", "--two-sided", "--one-sided", "--tol", "--model", "--allow-large", "--out",
-    "--no-timestamp", "--workers", "--seed",
-]
+_GEOMETRY = ["--N", "--d", "--holes", "--sigma", "--geometry-seed"]
+_BEAM = ["--two-sided", "--one-sided", "--tol"]
+# the settings each command reads, in table order, up to the four every command takes
+_READS = {
+    "efficiency": [*_GEOMETRY, "--w0", *_BEAM, "--model", "--allow-large"],
+    "scan-waist": [*_GEOMETRY, *_BEAM, "--model", "--allow-large"],
+    "optimal-waist": [*_GEOMETRY, *_BEAM, "--model", "--allow-large"],
+    "holes": ["--N", "--d", "--w0", *_BEAM, "--allow-large"],
+    "disorder": ["--N", "--d", "--w0", *_BEAM, "--allow-large"],
+    "finite-time": [*_GEOMETRY, "--w0", *_BEAM, "--model", "--allow-large"],
+    "isotropic": ["--d", *_BEAM, "--allow-large"],
+    "validate": ["--tol"],
+}
 
 
 @pytest.mark.parametrize(
@@ -335,11 +344,86 @@ _EVERY_COMMAND = [
     ],
 )
 def test_command_option_strings(command, own):
-    # the benchmark drives finite-time, optimal-waist and holes through
-    # --seed, --workers, --out and --no-timestamp
+    # a command takes the flags its handler reads; the benchmark drives
+    # finite-time, optimal-waist and holes through --seed, --workers, --out
+    # and --no-timestamp, which every command takes
     sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     options = [o for action in sub.choices[command]._actions for o in action.option_strings]
-    assert options == _EVERY_COMMAND + own
+    every = ["--out", "--no-timestamp", "--workers", "--seed"]
+    assert options == ["-h", "--help", "--config", *_READS[command], *every, *own]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["holes", "--model", "isotropic"],
+        ["disorder", "--holes", "0,5"],
+        ["isotropic", "--sigma", "0.05"],
+        ["optimal-waist", "--w0", "7"],
+        ["scan-waist", "--w0", "2"],
+        ["isotropic", "--N", "4"],  # not a prefix of --N-list
+        ["validate", "--N", "4"],
+    ],
+)
+def test_flags_a_command_does_not_read_are_refused(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path), "--no-timestamp"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "geometry, g",
+    [
+        (["--holes", "0,5"], remove_holes(build_square_array(4, 0.6), [0, 5])),
+        (["--sigma", "0.05"], apply_position_disorder(build_square_array(4, 0.6), 0.05, 12345)),
+    ],
+    ids=["holes", "sigma"],
+)
+def test_scan_waist_scans_the_configured_geometry(tmp_path, capsys, geometry, g):
+    argv = ["scan-waist", "--N", "4", *geometry, "--w0-min", "0.7", "--w0-max", "1.6",
+            "--w0-points", "4", "--out", str(tmp_path), "--no-timestamp"]
+    assert run(argv, capsys)[0] == 0
+    lines = (tmp_path / "scan-waist_4_0.6.csv").read_text().splitlines()[1:]
+    assert len(lines) == 4
+    for line in lines:
+        w0, eta = (float(v) for v in line.split(",")[:2])
+        assert eta == studies.solve(g, DetectionMode(w0=w0)).eta
+
+
+@pytest.mark.parametrize(
+    "argv, key, model",
+    [
+        (["scan-waist", "--N", "31"], "geometry.N", TWO_LEVEL),
+        (["efficiency", "--N", "15", "--model", "isotropic"], "geometry.N", ISOTROPIC),
+        (["optimal-waist", "--N", "15", "--model", "isotropic"], "geometry.N", ISOTROPIC),
+        (["holes", "--N", "31"], "geometry.N", TWO_LEVEL),
+        (["disorder", "--N", "31"], "geometry.N", TWO_LEVEL),
+        (["finite-time", "--N", "31"], "geometry.N", TWO_LEVEL),
+        (["isotropic", "--N-list", "15"], "study.N_list", ISOTROPIC),
+    ],
+    ids=["scan-waist", "efficiency", "optimal-waist", "holes", "disorder", "finite-time",
+         "isotropic"],
+)
+def test_desk_scale_caps(tmp_path, capsys, monkeypatch, argv, key, model):
+    # the cap is checked before anything is solved
+    def unused(*args, **kwargs):
+        raise AssertionError("solved past the cap")
+
+    monkeypatch.setattr(studies, "solve", unused)
+    code, _, err = run(argv + ["--out", str(tmp_path), "--no-timestamp"], capsys)
+    assert code == 2
+    assert f"config error at {key}" in err and f"for the {model} model" in err
+    assert "--allow-large" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_allow_large_lifts_the_cap(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_N_TWO_LEVEL", 3)
+    argv = ["efficiency", "--N", "4", "--out", str(tmp_path), "--no-timestamp"]
+    assert run(argv, capsys)[0] == 2
+    assert run(argv + ["--allow-large"], capsys)[0] == 0
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])
@@ -359,7 +443,9 @@ def test_disorder_one_sided_scores_against_the_one_sided_optimum(tmp_path, capsy
     )
     assert code == 0
     doc = json.loads((tmp_path / "disorder_4_0.6.json").read_text())
-    assert doc["provenance"]["eta_perfect"] == studies.optimal_waist(4, 0.6, two_sided=False).eta
+    one_sided = DetectionMode(w0=1.5, two_sided=False)
+    opt = studies.optimal_waist(build_square_array(4, 0.6), one_sided)
+    assert doc["provenance"]["eta_perfect"] == opt.eta
     assert abs(doc["summary"][0]["loss_mean"]) < 1e-6
 
 
@@ -370,8 +456,9 @@ def test_isotropic_one_sided_compares_one_sided_optima(tmp_path, capsys):
     )
     assert code == 0
     row = json.loads((tmp_path / "isotropic_3_0.6.json").read_text())["rows"][0]
+    g, one_sided = build_square_array(3, 0.6), DetectionMode(w0=1.5, two_sided=False)
     for model, key in ((TWO_LEVEL, "eps_two_level"), (ISOTROPIC, "eps_isotropic")):
-        assert row[key] == studies.optimal_waist(3, 0.6, model=model, two_sided=False).epsilon
+        assert row[key] == studies.optimal_waist(g, one_sided, model).epsilon
 
 
 @pytest.mark.parametrize("geometry", [["--holes", "0,5"], ["--sigma", "0.05"]])

@@ -64,13 +64,6 @@ def test_out_of_range_hole_rejected():
         remove_holes(build_square_array(10, 0.6), [100])
 
 
-def test_index_map_tracks_original_sites():
-    g = remove_holes(build_square_array(3, 0.5), [0, 4])
-    m = g.index_map()
-    assert 0 not in m and 4 not in m
-    assert m[1] == 0 and m[8] == 6
-
-
 def test_zero_sigma_keeps_geometry():
     g = build_square_array(5, 0.6)
     for seed in (0, 1, 123456789):

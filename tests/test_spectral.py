@@ -118,4 +118,3 @@ def test_diagnostics_payload():
         "min_im_lambda",
         "trace_residual",
     }
-    assert dec.min_decay_rate() == pytest.approx(2 * dec.eigenvalues.imag.min())

@@ -20,6 +20,8 @@ from arraymem.errors import FitWindowError, InvalidArgumentError
 from arraymem.retrieval import efficiency_of_spin_wave
 from arraymem import blas, studies
 
+BEAM = DetectionMode(w0=1.5)  # the waist searches replace its w0
+
 
 def eta_at(geometry, w0):
     dec = eigendecompose(interaction_matrix(geometry))
@@ -28,22 +30,16 @@ def eta_at(geometry, w0):
 
 
 def test_single_atom_error_grows_with_waist():
-    scan = studies.scan_waist(1, 0.6, [1.0, 1.5, 2.0, 3.0, 4.0])
+    scan = studies.scan_waist(build_square_array(1, 0.6), BEAM, [1.0, 1.5, 2.0, 3.0, 4.0])
     assert all(np.diff(scan.epsilon) > 0)
 
 
 def test_scan_waist_rejects_bad_axis():
+    g = build_square_array(3, 0.6)
     with pytest.raises(InvalidArgumentError):
-        studies.scan_waist(3, 0.6, [2.0, 1.0])
+        studies.scan_waist(g, BEAM, [2.0, 1.0])
     with pytest.raises(InvalidArgumentError):
-        studies.scan_waist(3, 0.6, [-1.0, 1.0])
-
-
-def test_desk_scale_caps():
-    with pytest.raises(InvalidArgumentError):
-        studies.scan_waist(31, 0.6, [1.5])
-    with pytest.raises(InvalidArgumentError):
-        studies.optimal_waist(15, 0.6, model="isotropic")
+        studies.scan_waist(g, BEAM, [-1.0, 1.0])
 
 
 def test_synthetic_fit_recovers_constant():
@@ -51,8 +47,6 @@ def test_synthetic_fit_recovers_constant():
     true_c = 1.9e-3
     eps = studies.model_error(20, 0.6, np.array(w0s), c=true_c)
     scan = studies.ScanResult(
-        study="scan-waist",
-        axis_name="w0",
         axis=w0s,
         eta=[1 - e for e in eps],
         epsilon=list(eps),
@@ -71,8 +65,6 @@ def test_fit_window_excluding_crossover_fits_better():
     clip = studies.clipping_error(n, d, w0s)
     eps = true_c / w0s**4 + clip + 0.3 * np.sqrt((true_c / w0s**4) * clip)
     scan = studies.ScanResult(
-        study="scan-waist",
-        axis_name="w0",
         axis=list(w0s),
         eta=[1 - e for e in eps],
         epsilon=list(eps),
@@ -93,8 +85,6 @@ def test_fit_requires_clipping_free_points():
     w0s = [5.0, 6.0, 8.0]
     eps = studies.clipping_error(4, 0.6, np.array(w0s)) * 1.05
     scan = studies.ScanResult(
-        study="scan-waist",
-        axis_name="w0",
         axis=w0s,
         eta=[1 - e for e in eps],
         epsilon=list(eps),
@@ -106,20 +96,20 @@ def test_fit_requires_clipping_free_points():
 
 
 def test_optimal_waist_four_by_four():
-    opt = studies.optimal_waist(4, 0.6)
+    opt = studies.optimal_waist(build_square_array(4, 0.6), BEAM)
     assert opt.epsilon < 0.01
     assert 0.5 < opt.w0 < 1.2
     assert not opt.bracket_fallback
     fresh = studies.solve(build_square_array(4, 0.6), DetectionMode(w0=opt.w0))
     assert opt.result.eta == fresh.eta == opt.eta
     with pytest.raises(InvalidArgumentError):
-        studies.optimal_waist(1, 0.6)
+        studies.optimal_waist(build_square_array(1, 0.6), BEAM)
 
 
 def test_optimal_waist_fallback_keeps_the_best_result(monkeypatch):
     # a seed far above the optimum leaves no bracket, so the grid scan runs
     monkeypatch.setattr(studies, "_model_seed_waist", lambda n, d: 1000.0)
-    opt = studies.optimal_waist(3, 0.6)
+    opt = studies.optimal_waist(build_square_array(3, 0.6), BEAM)
     assert opt.bracket_fallback
     fresh = studies.solve(build_square_array(3, 0.6), DetectionMode(w0=opt.w0))
     assert opt.eta == fresh.eta
@@ -162,7 +152,7 @@ def test_solve_matches_hand_chain(g, model, sliced, sector):
 
 def test_disorder_task_skips_the_top_eigenpair(monkeypatch):
     spin = np.full(16, 0.25, dtype=complex)
-    args = (4, 0.6, 1.2, 0.02, 7, spin, True, 1e-10)
+    args = (4, 0.6, DetectionMode(w0=1.2), 0.02, 7, spin)
     expected = studies._disorder_task(args)
 
     def unused(_mat):
@@ -173,7 +163,7 @@ def test_disorder_task_skips_the_top_eigenpair(monkeypatch):
 
 
 def test_scan_is_unimodal_around_optimum():
-    scan = studies.scan_waist(4, 0.6, list(np.geomspace(0.5, 2.0, 9)))
+    scan = studies.scan_waist(build_square_array(4, 0.6), BEAM, list(np.geomspace(0.5, 2.0, 9)))
     assert scan.provenance["unimodal"]
 
 
@@ -193,7 +183,7 @@ def test_center_hole_hurts_more_than_corner():
 
 
 def test_hole_study_regression_behaviour():
-    hs = studies.hole_study(6, 0.6, 1.0, [1, 3, 5], 6, seed=3)
+    hs = studies.hole_study(6, 0.6, DetectionMode(w0=1.0), [1, 3, 5], 6, seed=3)
     assert len(hs.rows) == 18
     for row in hs.rows:
         assert row["eta_def"] <= hs.eta_perfect + 1e-10
@@ -203,7 +193,7 @@ def test_hole_study_regression_behaviour():
 
 def test_hole_study_rejects_too_many_holes():
     with pytest.raises(InvalidArgumentError):
-        studies.hole_study(4, 0.6, 1.0, [4], 2)  # > 20% of 16 sites
+        studies.hole_study(4, 0.6, DetectionMode(w0=1.0), [4], 2)  # > 20% of 16 sites
 
 
 def test_sigma_zero_disorder_loss_is_exactly_zero():
@@ -220,29 +210,33 @@ def test_sigma_zero_disorder_loss_is_exactly_zero():
 
 
 def test_disorder_study_reproducible_and_sigma_scaled():
-    kwargs = dict(n_samples=4, seed=21, w0=1.2)
-    a = studies.position_disorder_study(4, 0.6, [0.01, 0.04], **kwargs)
-    b = studies.position_disorder_study(4, 0.6, [0.01, 0.04], **kwargs)
+    kwargs = dict(n_samples=4, seed=21)
+    mode = DetectionMode(w0=1.2)
+    a = studies.position_disorder_study(4, 0.6, mode, [0.01, 0.04], **kwargs)
+    b = studies.position_disorder_study(4, 0.6, mode, [0.01, 0.04], **kwargs)
     assert a.rows == b.rows
     assert a.summary[0]["loss_mean"] < a.summary[1]["loss_mean"]
 
 
 def test_disorder_stderr_shrinks_with_samples():
-    small = studies.position_disorder_study(4, 0.6, [0.03], n_samples=25, seed=5, w0=1.2)
-    large = studies.position_disorder_study(4, 0.6, [0.03], n_samples=100, seed=5, w0=1.2)
+    mode = DetectionMode(w0=1.2)
+    small = studies.position_disorder_study(4, 0.6, mode, [0.03], n_samples=25, seed=5)
+    large = studies.position_disorder_study(4, 0.6, mode, [0.03], n_samples=100, seed=5)
     assert large.summary[0]["eta_stderr"] < small.summary[0]["eta_stderr"]
 
 
 def test_parallel_matches_serial():
-    serial = studies.hole_study(5, 0.6, 1.0, [2], 4, seed=9, workers=1)
-    parallel = studies.hole_study(5, 0.6, 1.0, [2], 4, seed=9, workers=2)
+    mode = DetectionMode(w0=1.0)
+    serial = studies.hole_study(5, 0.6, mode, [2], 4, seed=9, workers=1)
+    parallel = studies.hole_study(5, 0.6, mode, [2], 4, seed=9, workers=2)
     assert serial.rows == parallel.rows
 
 
 def test_disorder_parallel_matches_serial():
-    kwargs = dict(n_samples=3, seed=17, w0=1.2)
-    serial = studies.position_disorder_study(4, 0.6, [0.01, 0.03], workers=1, **kwargs)
-    parallel = studies.position_disorder_study(4, 0.6, [0.01, 0.03], workers=2, **kwargs)
+    kwargs = dict(n_samples=3, seed=17)
+    mode = DetectionMode(w0=1.2)
+    serial = studies.position_disorder_study(4, 0.6, mode, [0.01, 0.03], workers=1, **kwargs)
+    parallel = studies.position_disorder_study(4, 0.6, mode, [0.01, 0.03], workers=2, **kwargs)
     assert serial.rows == parallel.rows
     assert serial.summary == parallel.summary
 
@@ -298,14 +292,14 @@ def test_hole_samples_match_fresh_sampling(holes):
 
 
 def test_isotropic_comparison_rows():
-    rows = studies.isotropic_comparison([4], 0.6)
+    rows = studies.isotropic_comparison([4], 0.6, BEAM)
     row = rows[0]
     assert row["eps_isotropic"] > row["eps_two_level"]
     assert abs(row["w0_isotropic"] / row["w0_two_level"] - 1.0) < 0.2
 
 
 def test_csv_bytes_are_deterministic(tmp_path):
-    ds = studies.position_disorder_study(4, 0.6, [0.02], n_samples=3, seed=2, w0=1.2)
+    ds = studies.position_disorder_study(4, 0.6, DetectionMode(w0=1.2), [0.02], n_samples=3, seed=2)
     p1 = tmp_path / "a.csv"
     p2 = tmp_path / "b.csv"
     fields = ["sigma", "sample", "seed", "eta_dis"]
