@@ -7,7 +7,11 @@ JSON file (nested sections below) with command-line flags taking
 precedence; unknown keys are rejected rather than ignored. Each setting is
 one row of ``_SETTINGS``, which gives its default, its check and its flag,
 so a flag and a config key pass the same check. A command takes only the
-flags its handler reads; a config file may set any key.
+flags its handler reads, and its JSON summary records only those
+settings; a config file may set any key.
+
+A command that takes --w0 solves at the given waist, or, when none is
+given (``"w0": null``), at the best waist, found by ``studies.solve``.
 
 The study drivers solve any N they are given. The desk-scale cap (N <= 30
 two-level, N <= 14 isotropic) is checked here, once, before any solve, and
@@ -17,7 +21,7 @@ Config file schema (all keys optional, defaults shown):
 
     {
       "geometry": {"N": 10, "d": 0.6, "holes": [], "sigma": 0.0, "seed": 12345},
-      "mode":     {"w0": 1.5, "two_sided": true, "tol": 1e-10},
+      "mode":     {"w0": null, "two_sided": true, "tol": 1e-10},
       "study":    {"w0_min": 1.0, "w0_max": 4.0, "w0_points": 12,
                    "hole_counts": [1, ..., 20], "sigma_list": [...],
                    "n_samples": 100, "seed": 12345, "Td": 10.0,
@@ -81,7 +85,7 @@ MAX_N_ISOTROPIC = 14
 _GEOMETRY = ("efficiency", "scan-waist", "optimal-waist", "finite-time")  # geometry.*, model
 _LATTICE = (*_GEOMETRY, "holes", "disorder")  # N
 _SOLVING = (*_LATTICE, "isotropic")  # d, the beam's sides, the N cap
-_WAIST = ("efficiency", "holes", "disorder", "finite-time")  # a given w0
+_WAIST = ("efficiency", "holes", "disorder", "finite-time")  # w0, searched if not given
 
 
 class _Setting(NamedTuple):
@@ -112,8 +116,10 @@ _SETTINGS = (
              {"--sigma": dict(type=float, help="position disorder std")}, _GEOMETRY),
     _Setting("geometry.seed", 12345, int, lambda v: v >= 0, "seed must be a non-negative integer",
              {"--geometry-seed": dict(type=int, help="disorder seed")}, _GEOMETRY),
-    _Setting("mode.w0", 1.5, (int, float), lambda v: v > 0, "w0 must be positive",
-             {"--w0": dict(type=float, help="beam waist (wavelengths)")}, _WAIST),
+    _Setting("mode.w0", None, (int, float, type(None)), lambda v: v is None or v > 0,
+             "w0 must be positive",
+             {"--w0": dict(type=float, help="beam waist (wavelengths); searched if not given")},
+             _WAIST),
     _Setting("mode.two_sided", True, bool, flags={
         "--two-sided": dict(action="store_true"), "--one-sided": dict(action="store_false")},
         commands=_SOLVING),
@@ -181,14 +187,13 @@ def _dest(setting: _Setting) -> str:
     return next(iter(setting.flags)).lstrip("-").replace("-", "_")
 
 
-def _merge_config(path: str | None) -> tuple:
-    """Defaults overlaid with the config file; returns the keys the user set."""
+def _merge_config(path: str | None) -> dict:
+    """Defaults overlaid with the config file."""
     config: dict = {}
     for s in _SETTINGS:
         _put(config, s.key, copy.deepcopy(s.default))
-    explicit: set = set()
     if path is None:
-        return config, explicit
+        return config
     try:
         with open(path) as fh:
             user = json.load(fh)
@@ -211,11 +216,10 @@ def _merge_config(path: str | None) -> tuple:
             if key not in _KEYS:
                 raise ConfigError(f"config error at {key}: unknown key")
             _put(config, key, value)
-            explicit.add(key)
-    return config, explicit
+    return config
 
 
-def _apply_flags(config: dict, args: argparse.Namespace, explicit: set) -> None:
+def _apply_flags(config: dict, args: argparse.Namespace) -> None:
     for s in _SETTINGS:
         value = getattr(args, _dest(s), None)
         if value is None:
@@ -226,7 +230,6 @@ def _apply_flags(config: dict, args: argparse.Namespace, explicit: set) -> None:
             except ValueError as exc:
                 raise ConfigError(f"config error at {s.key}: {exc}")
         _put(config, s.key, value)
-        explicit.add(s.key)
 
 
 def _validate_config(config: dict) -> None:
@@ -257,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
                 for option, kwargs in s.flags.items():
                     group.add_argument(option, dest=_dest(s), default=None, **kwargs)
         if command == "efficiency":
-            p.add_argument("--optimize-waist", action="store_true")
             p.add_argument("--dump-samples", action="store_true",
                            help="also write the sampled mode field as CSV")
     return parser
@@ -302,8 +304,8 @@ def _workers(config: dict) -> int:
 def _write(config: dict, command: str, n: int, body: dict, fields=None, rows=None) -> Path:
     """Write a run's JSON summary, and its CSV table when rows are given.
 
-    Returns the path the command prints: the table if there is one, else
-    the summary.
+    The summary records the settings the command takes. Returns the path
+    the command prints: the table if there is one, else the summary.
     """
     out = Path(config["output"]["dir"])
     out.mkdir(parents=True, exist_ok=True)
@@ -313,34 +315,22 @@ def _write(config: dict, command: str, n: int, body: dict, fields=None, rows=Non
     if table:
         studies.write_csv(table, fields, rows)
         body = {**body, "csv": table.name}
-    studies.write_summary(summary, {"config": config, "version": __version__, **body})
+    taken: dict = {}
+    for s in _SETTINGS:
+        if s.commands is None or command in s.commands:
+            node, name = _node(config, s.key)
+            _put(taken, s.key, node[name])
+    studies.write_summary(summary, {"config": taken, "version": __version__, **body})
     return table or summary
 
 
-def _solve(config: dict, g, optimize: bool) -> tuple:
-    """(w0, Result, OptimalWaist or None): g solved at the optimal waist,
-    or at the configured one."""
-    mode, model = _mode(config), config["study"]["model"]
-    if optimize:
-        opt = studies.optimal_waist(g, mode, model)
-        return opt.w0, opt.result, opt
-    return mode.w0, studies.solve(g, mode, model), None
-
-
-def _cmd_efficiency(config: dict, args, explicit) -> int:
+def _cmd_efficiency(config: dict, args) -> int:
     gc = config["geometry"]
     g = _build_geometry(gc)
-    w0, res, opt = _solve(config, g, args.optimize_waist)
-    if args.optimize_waist:
-        sol_doc = {
-            "eta_max": opt.eta, "epsilon": opt.epsilon, "w0": opt.w0,
-            "spin_wave": [[float(c.real), float(c.imag)] for c in opt.spin_wave],
-            "diagnostics": {"n_evaluations": opt.n_evaluations,
-                            "bracket_fallback": opt.bracket_fallback},
-        }
-    else:
-        sol_doc = solution_to_dict(res.solution, w0, g.to_json(include_positions=False))
-        sol_doc["spectral"] = res.dec.diagnostics()
+    res = studies.solve(g, _mode(config), config["study"]["model"])
+    w0 = res.samples.w0
+    sol_doc = solution_to_dict(res.solution, w0, g.to_json(include_positions=False))
+    sol_doc["spectral"] = res.dec.diagnostics()
     path = _write(config, "efficiency", gc["N"], {"solution": sol_doc})
     if args.dump_samples:
         studies.write_csv(path.with_name(f"{path.stem}_samples.csv"),
@@ -349,7 +339,7 @@ def _cmd_efficiency(config: dict, args, explicit) -> int:
     return 0
 
 
-def _cmd_scan_waist(config: dict, args, explicit) -> int:
+def _cmd_scan_waist(config: dict, args) -> int:
     gc, sc = config["geometry"], config["study"]
     w0_list = np.geomspace(sc["w0_min"], sc["w0_max"], sc["w0_points"])
     scan = studies.scan_waist(_build_geometry(gc), _mode(config), w0_list, sc["model"])
@@ -367,8 +357,9 @@ def _cmd_scan_waist(config: dict, args, explicit) -> int:
     return 0
 
 
-def _cmd_optimal_waist(config: dict, args, explicit) -> int:
-    _, _, opt = _solve(config, _build_geometry(config["geometry"]), True)
+def _cmd_optimal_waist(config: dict, args) -> int:
+    g = _build_geometry(config["geometry"])
+    opt = studies.optimal_waist(g, _mode(config), config["study"]["model"])
     path = _write(config, "optimal-waist", config["geometry"]["N"], {
         "w0_opt": opt.w0, "epsilon_opt": opt.epsilon, "eta": opt.eta,
         "n_evaluations": opt.n_evaluations, "bracket_fallback": opt.bracket_fallback,
@@ -377,7 +368,7 @@ def _cmd_optimal_waist(config: dict, args, explicit) -> int:
     return 0
 
 
-def _cmd_holes(config: dict, args, explicit) -> int:
+def _cmd_holes(config: dict, args) -> int:
     gc, sc = config["geometry"], config["study"]
     hs = studies.hole_study(
         gc["N"], gc["d"], _mode(config), sc["hole_counts"], sc["n_samples"],
@@ -391,11 +382,11 @@ def _cmd_holes(config: dict, args, explicit) -> int:
     return 0
 
 
-def _cmd_disorder(config: dict, args, explicit) -> int:
+def _cmd_disorder(config: dict, args) -> int:
     gc, sc = config["geometry"], config["study"]
     ds = studies.position_disorder_study(
         gc["N"], gc["d"], _mode(config), sc["sigma_list"], sc["n_samples"], seed=sc["seed"],
-        optimize_waist="mode.w0" not in explicit, workers=_workers(config),
+        workers=_workers(config),
     )
     sigmas = [r["sigma"] for r in ds.summary]
     losses = [r["loss_mean"] for r in ds.summary]
@@ -407,10 +398,9 @@ def _cmd_disorder(config: dict, args, explicit) -> int:
     return 0
 
 
-def _cmd_finite_time(config: dict, args, explicit) -> int:
+def _cmd_finite_time(config: dict, args) -> int:
     gc, sc = config["geometry"], config["study"]
-    g = _build_geometry(gc)
-    w0, res, _ = _solve(config, g, "mode.w0" not in explicit)
+    res = studies.solve(_build_geometry(gc), _mode(config), sc["model"])
     eta_inf, spin = res.eta, res.solution.spin_wave
     td_grid = np.geomspace(0.1, sc["Td"], 25)
     rows = []
@@ -419,13 +409,13 @@ def _cmd_finite_time(config: dict, args, explicit) -> int:
         rows.append({"Td": float(td), "eta_Td": eta_td,
                      "relative_error": 1.0 - eta_td / eta_inf})
     path = _write(config, "finite-time", gc["N"], {
-        "w0": w0, "eta_infinite": eta_inf, "final": rows[-1],
+        "w0": res.samples.w0, "eta_infinite": eta_inf, "final": rows[-1],
     }, ["Td", "eta_Td", "relative_error"], rows)
     print(f"1 - eta_Td/eta = {rows[-1]['relative_error']:.3e} at Td={sc['Td']:g} -> {path}")
     return 0
 
 
-def _cmd_isotropic(config: dict, args, explicit) -> int:
+def _cmd_isotropic(config: dict, args) -> int:
     sc = config["study"]
     rows = studies.isotropic_comparison(sc["N_list"], config["geometry"]["d"], _mode(config))
     path = _write(config, "isotropic", max(sc["N_list"]), {"rows": rows}, [
@@ -436,7 +426,7 @@ def _cmd_isotropic(config: dict, args, explicit) -> int:
     return 0
 
 
-def _cmd_validate(config: dict, args, explicit) -> int:
+def _cmd_validate(config: dict, args) -> int:
     mc = config["mode"]
     checks = []
 
@@ -505,15 +495,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config, explicit = _merge_config(args.config)
-        _apply_flags(config, args, explicit)
+        config = _merge_config(args.config)
+        _apply_flags(config, args)
         _validate_config(config)
         _check_scale(config, args.command)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     try:
-        return _COMMANDS[args.command][1](config, args, explicit)
+        return _COMMANDS[args.command][1](config, args)
     except InvalidArgumentError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2

@@ -136,25 +136,27 @@ class DetectionMode:
     array toward +z and -z; it enters only as a factor 2 on efficiencies
     (the array sits in the z = 0 mirror plane), never in the sampled
     fields or the norms, which always refer to the single +z beam.
+
+    w0 = None means no waist has been chosen: such a beam cannot be
+    sampled, and studies.solve solves it at its best waist.
     """
 
-    w0: float
+    w0: float | None
     e0: float = 1.0
     two_sided: bool = True
     quadrature_tolerance: float = 1e-10
 
     def __post_init__(self):
-        if self.w0 <= 0:
+        if self.w0 is not None and self.w0 <= 0:
             raise InvalidArgumentError(f"beam waist must be positive, got {self.w0!r}")
         _check_tolerance(self.quadrature_tolerance)
 
-    def f_det(self) -> float:
-        """Transverse-plane norm of the single beam (radial integral cached per waist)."""
-        return mode_norm(self)
 
-    def f_flux(self) -> float:
-        """Photon-flux norm of the single beam (radial integral cached per waist)."""
-        return mode_flux_norm(self)
+def _waist(m: DetectionMode) -> float:
+    """The beam's waist; a beam without one has no field to evaluate."""
+    if m.w0 is None:
+        raise InvalidArgumentError("a beam without a waist has no field; solve searches one")
+    return m.w0
 
 
 def _check_tolerance(tol):
@@ -168,7 +170,7 @@ def detection_field(m: DetectionMode, r) -> np.ndarray:
     """Complex field vector (E^x, 0, E^z) of the +z beam at a point."""
     r = np.asarray(r, dtype=float)
     rho = float(np.hypot(r[0], r[1]))
-    ex, g = _field_components(m.w0, m.e0, [rho], [r[2]], m.quadrature_tolerance)
+    ex, g = _field_components(_waist(m), m.e0, [rho], [r[2]], m.quadrature_tolerance)
     if rho > 0.0:
         ez = -1j * m.e0 * (r[0] / rho) * g[0]
     else:
@@ -216,7 +218,7 @@ def mode_norm(m: DetectionMode) -> float:
     radial quadrature; the propagation phases are unimodular, so the
     result does not depend on the plane z = const chosen.
     """
-    return np.pi * m.e0**2 / K0**2 * _radial_norm_integral(m.w0, flux_weighted=False)
+    return np.pi * m.e0**2 / K0**2 * _radial_norm_integral(_waist(m), flux_weighted=False)
 
 
 def mode_flux_norm(m: DetectionMode) -> float:
@@ -227,7 +229,7 @@ def mode_flux_norm(m: DetectionMode) -> float:
     photons per unit time; it agrees with the surface norm to O((lambda/w0)^2)
     but has no grazing-wave singularity (the integrand is entire).
     """
-    return np.pi * m.e0**2 / K0**2 * _radial_norm_integral(m.w0, flux_weighted=True)
+    return np.pi * m.e0**2 / K0**2 * _radial_norm_integral(_waist(m), flux_weighted=True)
 
 
 @dataclass(frozen=True)
@@ -262,7 +264,7 @@ def sample_mode(m: DetectionMode, g: Geometry, model: str = TWO_LEVEL) -> ModeSa
         raise InvalidArgumentError(f"model must be one of {MODELS}, got {model!r}")
     pos = g.positions
     rho = np.hypot(pos[:, 0], pos[:, 1])
-    ex, gz = _field_components(m.w0, m.e0, rho, pos[:, 2], m.quadrature_tolerance)
+    ex, gz = _field_components(_waist(m), m.e0, rho, pos[:, 2], m.quadrature_tolerance)
     ez = np.zeros_like(ex)
     on_axis = rho == 0.0
     ez[~on_axis] = -1j * m.e0 * (pos[~on_axis, 0] / rho[~on_axis]) * gz[~on_axis]
@@ -273,7 +275,7 @@ def sample_mode(m: DetectionMode, g: Geometry, model: str = TWO_LEVEL) -> ModeSa
         values = ex * dip[:, 0].conj() + ez * dip[:, 2].conj()
     return ModeSamples(
         values=values,
-        f_flux=m.f_flux(),
+        f_flux=mode_flux_norm(m),
         model=model,
         w0=m.w0,
         e0=m.e0,
@@ -350,7 +352,7 @@ def validate_projection(
             "integration plane must lie beyond the dipole on the +z side"
         )
     if radius is None:
-        radius = 40.0 * m.w0
+        radius = 40.0 * _waist(m)
     tol = m.quadrature_tolerance
 
     closed = (0.5j / K0) * np.vdot(detection_field(m, r_d), dvec)

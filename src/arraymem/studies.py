@@ -13,8 +13,9 @@ vs isotropic comparison. Every Monte Carlo result is reproducible from
 Each driver takes what it studies: one DetectionMode for the beam, whose
 w0 the waist searches replace, and the geometry itself (scan_waist,
 optimal_waist) or the (N, d) of the perfect lattice that a Monte Carlo
-study perturbs. The drivers solve any size they are given; the desk-scale
-cap on N belongs to the command line.
+study perturbs. A beam without a waist (w0=None) is solved at its best
+waist, by solve, for every caller alike. The drivers solve any size they
+are given; the desk-scale cap on N belongs to the command line.
 """
 
 from __future__ import annotations
@@ -119,7 +120,14 @@ def solve(
     waist of a geometry) or samples (the beam sliced from a parent
     lattice) is used as it is; with samples given, mode is not read.
     The samples cover every atom either way.
+
+    A beam without a waist is solved at its best waist: the result is
+    optimal_waist(g, mode, model).result, whose samples record the waist.
     """
+    if samples is None and mode.w0 is None:
+        if dec is not None:
+            raise InvalidArgumentError("a beam without a waist is searched, not solved with dec")
+        return optimal_waist(g, mode, model).result
     if dec is None:
         m = interaction_matrix(g, model)
         dec = eigendecompose(replace(m, basis=sector_basis(g, model)))
@@ -131,8 +139,8 @@ def solve(
 def scan_waist(g, mode: DetectionMode, w0_list, model: str = TWO_LEVEL) -> ScanResult:
     """Minimum retrieval error of geometry g for each waist of the beam mode."""
     w0_list = [float(w) for w in w0_list]
-    if any(w <= 0 for w in w0_list) or sorted(w0_list) != w0_list:
-        raise InvalidArgumentError("w0_list must be positive and sorted")
+    if any(w <= 0 for w in w0_list) or any(b <= a for a, b in zip(w0_list, w0_list[1:])):
+        raise InvalidArgumentError("w0_list must be positive and strictly increasing")
     n, d = g.linear_size, g.lattice_constant
     dec = None
     rows = []
@@ -374,7 +382,8 @@ def hole_study(
 
     Regresses the relative efficiency loss against the fraction of the
     detection-mode intensity falling on the removed sites; the slope is
-    the defect constant alpha.
+    the defect constant alpha. Every holed lattice sees the beam of the
+    perfect one, at the perfect lattice's best waist when mode has none.
     """
     hole_counts = [int(h) for h in hole_counts]
     if any(h < 1 or h > 0.2 * n * n for h in hole_counts):
@@ -425,7 +434,7 @@ def hole_study(
         provenance={
             "N": n,
             "d": d,
-            "w0": mode.w0,
+            "w0": samples0.w0,
             "hole_counts": hole_counts,
             "n_samples": n_samples,
             "seed": seed,
@@ -455,25 +464,20 @@ def position_disorder_study(
     sigma_list,
     n_samples: int,
     seed: int = DEFAULT_SEED,
-    optimize_waist: bool = False,
     workers: int = 1,
 ) -> DisorderStudy:
     """Mean efficiency loss under in-plane Gaussian position disorder.
 
     The spin wave and beam stay fixed at the perfect-lattice optimum for
-    the beam mode, or for the best waist of that beam with optimize_waist
+    the beam mode, at the perfect lattice's best waist when mode has none
     (no re-optimization per configuration), so the result isolates the
     disorder penalty.
     """
     sigma_list = [float(s) for s in sigma_list]
     if any(s <= 0 for s in sigma_list) or sorted(sigma_list) != sigma_list:
         raise InvalidArgumentError("sigma_list must be positive and sorted")
-    g0 = build_square_array(n, d)
-    if optimize_waist:
-        res0 = optimal_waist(g0, mode).result
-        mode = replace(mode, w0=res0.samples.w0)
-    else:
-        res0 = solve(g0, mode)
+    res0 = solve(build_square_array(n, d), mode)
+    mode = replace(mode, w0=res0.samples.w0)
     eta0, spin = res0.eta, res0.solution.spin_wave
 
     rng = np.random.default_rng(seed)

@@ -14,6 +14,9 @@ from arraymem.greens import ISOTROPIC, TWO_LEVEL
 from arraymem.spectral import eigendecompose
 
 
+BEAM = DetectionMode(w0=1.5)  # the waist search replaces its w0
+
+
 def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
@@ -29,7 +32,7 @@ def test_efficiency_defaults(tmp_path, capsys):
     doc = json.loads((tmp_path / "efficiency_10_0.6.json").read_text())
     assert doc["config"]["geometry"]["N"] == 10
     assert doc["config"]["geometry"]["d"] == 0.6
-    assert doc["config"]["mode"]["w0"] == 1.5
+    assert doc["config"]["mode"]["w0"] is None  # searched
     assert doc["config"]["mode"]["two_sided"] is True
     assert 0.0 <= doc["solution"]["eta_max"] <= 1.0
 
@@ -75,7 +78,7 @@ def test_flag_overrides_config(tmp_path, capsys):
     assert code == 0
     assert "w0=2.5" in out
     doc = json.loads((tmp_path / "efficiency_3_0.6.json").read_text())
-    assert doc["config"]["mode"]["w0"] == 2.5
+    assert doc["config"]["mode"]["w0"] == doc["solution"]["w0"] == 2.5  # a given waist is used
 
 
 def test_optimize_waist_four_by_four(tmp_path, capsys):
@@ -86,7 +89,6 @@ def test_optimize_waist_four_by_four(tmp_path, capsys):
             "4",
             "--d",
             "0.6",
-            "--optimize-waist",
             "--out",
             str(tmp_path),
             "--no-timestamp",
@@ -94,8 +96,35 @@ def test_optimize_waist_four_by_four(tmp_path, capsys):
         capsys,
     )
     assert code == 0
+    assert float(out.split("eps=")[1].split()[0]) < 1e-2  # the waist was searched
     doc = json.loads((tmp_path / "efficiency_4_0.6.json").read_text())
     assert doc["solution"]["epsilon"] < 0.01
+
+
+def test_holes_without_a_waist_use_the_perfect_lattice_optimum(tmp_path, capsys):
+    argv = ["holes", "--N", "4", "--hole-counts", "1", "--samples", "2", "--workers", "1"]
+    assert run(argv + ["--out", str(tmp_path), "--no-timestamp"], capsys)[0] == 0
+    doc = json.loads((tmp_path / "holes_4_0.6.json").read_text())
+    assert doc["config"]["mode"]["w0"] is None
+    assert doc["provenance"]["w0"] == studies.optimal_waist(build_square_array(4, 0.6), BEAM).w0
+
+
+def test_summary_records_only_the_settings_the_command_takes(tmp_path, capsys):
+    # a config file may set any key; the summary keeps those the command reads
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"study": {"model": "isotropic"}, "geometry": {"holes": [1]}}))
+    argv = ["holes", "--config", str(cfg), "--N", "3", "--w0", "1", "--hole-counts", "1",
+            "--samples", "2", "--out", str(tmp_path), "--no-timestamp"]
+    assert run(argv, capsys)[0] == 0
+    config = json.loads((tmp_path / "holes_3_0.6.json").read_text())["config"]
+    assert {section: sorted(value) if isinstance(value, dict) else value
+            for section, value in config.items()} == {
+        "geometry": ["N", "d"],
+        "mode": ["tol", "two_sided", "w0"],
+        "study": ["allow_large", "hole_counts", "n_samples", "seed"],
+        "output": ["dir", "timestamp"],
+        "workers": None,
+    }
 
 
 def test_scan_waist_writes_csv_and_fit(tmp_path, capsys):
@@ -227,6 +256,9 @@ def test_finite_time_command(tmp_path, capsys, monkeypatch):
     doc = json.loads((tmp_path / "finite-time_4_0.6.json").read_text())
     assert doc["final"]["relative_error"] < 0.05
     assert calls == [16]  # the waist search's eigensystem serves the windows
+    # no waist was given: the config says so, the body gives the one searched
+    assert doc["config"]["mode"]["w0"] is None
+    assert doc["w0"] == studies.optimal_waist(build_square_array(4, 0.6), BEAM).w0
 
 
 def test_isotropic_command(tmp_path, capsys):
@@ -333,7 +365,7 @@ _READS = {
 @pytest.mark.parametrize(
     "command, own",
     [
-        ("efficiency", ["--optimize-waist", "--dump-samples"]),
+        ("efficiency", ["--dump-samples"]),
         ("scan-waist", ["--w0-min", "--w0-max", "--w0-points"]),
         ("optimal-waist", []),
         ("holes", ["--hole-counts", "--samples"]),
@@ -465,7 +497,7 @@ def test_isotropic_one_sided_compares_one_sided_optima(tmp_path, capsys):
 def test_optimal_waist_solves_the_configured_geometry(tmp_path, capsys, geometry):
     flags = ["--N", "4", *geometry, "--out", str(tmp_path), "--no-timestamp"]
     assert run(["optimal-waist", *flags], capsys)[0] == 0
-    assert run(["efficiency", "--optimize-waist", *flags], capsys)[0] == 0
+    assert run(["efficiency", *flags], capsys)[0] == 0
     opt = json.loads((tmp_path / "optimal-waist_4_0.6.json").read_text())
     eff = json.loads((tmp_path / "efficiency_4_0.6.json").read_text())["solution"]
     assert (opt["w0_opt"], opt["epsilon_opt"]) == (eff["w0"], eff["epsilon"])

@@ -68,12 +68,25 @@ def test_waist_and_tolerance_validation():
         DetectionMode(w0=1.0, quadrature_tolerance=1e-5)
 
 
+def test_a_beam_without_a_waist_cannot_be_sampled():
+    m = DetectionMode(w0=None)
+    for call in (
+        lambda: sample_mode(m, build_square_array(2, 0.6)),
+        lambda: detection_field(m, [0.0, 0.0, 0.0]),
+        lambda: mode_norm(m),
+        lambda: mode_flux_norm(m),
+        lambda: validate_projection(m, [0, 0, 0], [1, 0, 0], 5.0),
+    ):
+        with pytest.raises(InvalidArgumentError, match="without a waist"):
+            call()
+
+
 def test_mode_pickle_round_trip():
     m = DetectionMode(w0=1.5, e0=2.0, two_sided=False, quadrature_tolerance=1e-9)
     back = pickle.loads(pickle.dumps(m))
     assert back == m
-    assert back.f_det() == m.f_det() == mode_norm(m)
-    assert back.f_flux() == m.f_flux() == mode_flux_norm(m)
+    assert mode_norm(back) == mode_norm(m)
+    assert mode_flux_norm(back) == mode_flux_norm(m)
 
 
 def test_z_component_vanishes_on_axis():

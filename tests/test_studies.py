@@ -34,12 +34,16 @@ def test_single_atom_error_grows_with_waist():
     assert all(np.diff(scan.epsilon) > 0)
 
 
-def test_scan_waist_rejects_bad_axis():
+def test_scan_waist_rejects_bad_axis(monkeypatch):
+    # the axis is checked before anything is solved
+    def unused(*args, **kwargs):
+        raise AssertionError("solved a rejected axis")
+
+    monkeypatch.setattr(studies, "solve", unused)
     g = build_square_array(3, 0.6)
-    with pytest.raises(InvalidArgumentError):
-        studies.scan_waist(g, BEAM, [2.0, 1.0])
-    with pytest.raises(InvalidArgumentError):
-        studies.scan_waist(g, BEAM, [-1.0, 1.0])
+    for w0_list in ([2.0, 1.0], [-1.0, 1.0], [2.0, 2.0, 2.0, 2.0]):
+        with pytest.raises(InvalidArgumentError, match="strictly increasing"):
+            studies.scan_waist(g, BEAM, w0_list)
 
 
 def test_synthetic_fit_recovers_constant():
@@ -113,6 +117,28 @@ def test_optimal_waist_fallback_keeps_the_best_result(monkeypatch):
     assert opt.bracket_fallback
     fresh = studies.solve(build_square_array(3, 0.6), DetectionMode(w0=opt.w0))
     assert opt.eta == fresh.eta
+
+
+@pytest.mark.parametrize(
+    "g, model",
+    [
+        (build_square_array(4, 0.6), TWO_LEVEL),
+        (build_square_array(3, 0.6), ISOTROPIC),
+        (remove_holes(build_square_array(4, 0.6), [0, 5]), TWO_LEVEL),
+    ],
+    ids=["perfect-4x4", "isotropic-3x3", "holes-4x4"],
+)
+def test_a_beam_without_a_waist_is_solved_at_its_best_waist(g, model):
+    beam = DetectionMode(w0=None)
+    res, opt = studies.solve(g, beam, model), studies.optimal_waist(g, beam, model).result
+    assert res.eta == opt.eta
+    assert res.samples.w0 == opt.samples.w0
+
+
+def test_a_beam_without_a_waist_takes_no_eigensystem():
+    g = build_square_array(3, 0.6)
+    with pytest.raises(InvalidArgumentError, match="without a waist"):
+        studies.solve(g, DetectionMode(w0=None), dec=eigendecompose(interaction_matrix(g)))
 
 
 @pytest.mark.parametrize(
