@@ -1,8 +1,9 @@
 """Retrieval-efficiency optimization for free-space atomic arrays.
 
 Pipeline: build a geometry, assemble the photon-exchange matrix, sample
-the detection mode at the atoms, eigendecompose, assemble the Hermitian
-efficiency matrix, and read off the top eigenpair.
+the detection mode at the atoms, eigendecompose in the basis the matrix
+carries (the whole space unless a mirror sector is given), assemble the
+Hermitian efficiency matrix, and read off the top eigenpair.
 """
 
 from .geometry import (
@@ -15,7 +16,6 @@ from .greens import (
     ISOTROPIC,
     TWO_LEVEL,
     InteractionMatrix,
-    greens_tensor,
     interaction_matrix,
 )
 from .modes import (
@@ -45,7 +45,6 @@ __all__ = [
     "remove_holes",
     "apply_position_disorder",
     "InteractionMatrix",
-    "greens_tensor",
     "interaction_matrix",
     "TWO_LEVEL",
     "ISOTROPIC",

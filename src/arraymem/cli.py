@@ -329,7 +329,7 @@ def _cmd_efficiency(config: dict, args) -> int:
     g = _build_geometry(gc)
     res = studies.solve(g, _mode(config), config["study"]["model"])
     w0 = res.samples.w0
-    sol_doc = solution_to_dict(res.solution, w0, g.to_json(include_positions=False))
+    sol_doc = solution_to_dict(res.solution, w0, g.to_json())
     sol_doc["spectral"] = res.dec.diagnostics()
     path = _write(config, "efficiency", gc["N"], {"solution": sol_doc})
     if args.dump_samples:

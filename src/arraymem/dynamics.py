@@ -20,8 +20,6 @@ from .modes import ModeSamples
 from .retrieval import (
     _check_spin_wave,
     _pair_kernel,
-    _spin_coordinates,
-    _x_components,
     efficiency_prefactor,
     mode_projections,
 )
@@ -37,11 +35,11 @@ def eta_finite_time(
     """Efficiency collected in [0, T_d] after a pi-pulse, in closed form."""
     if t_d <= 0:
         raise InvalidArgumentError("detection window must be positive")
-    s0 = _check_spin_wave(s0, dec.n_atoms)
+    s0 = _check_spin_wave(s0, dec.basis.n_atoms)
     proj = mode_projections(dec, samples)
     # exact for any s0 in a sector too: what lies outside it never
     # reaches the beam
-    amp0 = _x_components(dec).T @ _spin_coordinates(dec.basis, s0)
+    amp0 = dec.eigenvectors[dec.basis.x].T @ (dec.basis.q_x.T @ s0)
     lam = dec.eigenvalues
     kernel = _pair_kernel(lam)
     decay = np.exp(1j * (lam[:, None] - lam.conj()[None, :]) * t_d)

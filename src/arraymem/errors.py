@@ -9,10 +9,6 @@ class InvalidArgumentError(ArrayMemError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class SingularPointError(ArrayMemError, ValueError):
-    """Green's tensor requested at coincident source and observation points."""
-
-
 class SingularGeometryError(ArrayMemError, ValueError):
     """Geometry contains (near-)duplicate atom positions."""
 

@@ -90,7 +90,9 @@ class Geometry:
         np.fill_diagonal(dist_sq, np.inf)
         return float(np.sqrt(max(dist_sq.min(), 0.0)))
 
-    def to_json(self, include_positions: bool = True) -> str:
+    def to_json(self) -> str:
+        """The fields that regenerate the geometry: build_square_array(N, d),
+        remove_holes(holes), apply_position_disorder(sigma, seed)."""
         doc = {
             "N": int(self.linear_size),
             "d": float(self.lattice_constant),
@@ -98,29 +100,7 @@ class Geometry:
             "sigma": float(self.sigma),
             "seed": None if self.disorder_seed is None else int(self.disorder_seed),
         }
-        if include_positions:
-            doc["positions"] = [[float(c) for c in row] for row in self.positions]
         return json.dumps(doc)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Geometry":
-        doc = json.loads(text)
-        g = build_square_array(doc["N"], doc["d"])
-        holes = doc.get("holes") or []
-        if holes:
-            g = remove_holes(g, holes)
-        sigma = doc.get("sigma", 0.0) or 0.0
-        if sigma > 0:
-            g = apply_position_disorder(g, sigma, doc["seed"])
-        if "positions" in doc and doc["positions"] is not None:
-            ref = np.asarray(doc["positions"], dtype=float)
-            if ref.shape != g.positions.shape or not np.allclose(
-                ref, g.positions, atol=1e-12, rtol=0.0
-            ):
-                raise InvalidArgumentError(
-                    "stored positions disagree with regenerated lattice"
-                )
-        return g
 
 
 def _lattice_sites(n: int, d: float) -> np.ndarray:

@@ -16,11 +16,12 @@ with the divergent real self-term dropped (a resonance-frequency
 renormalization) and the imaginary part fixed so a lone atom decays at
 exactly the single-atom rate.
 
-On a perfect lattice M commutes with the mirrors x -> -x and y -> -y, and
-the x-polarized beam lies in one of their four symmetry sectors. A real
-orthonormal basis Q of that sector turns M into the complex symmetric
-Q^T M Q of about a quarter of its size, which carries every mode the beam
-can reach; holes and disorder break the mirrors and keep the full matrix.
+M is solved in a real orthonormal basis Q of the space the beam can
+reach, as the complex symmetric Q^T M Q. On a perfect lattice M commutes
+with the mirrors x -> -x and y -> -y, and the x-polarized beam lies in one
+of their four symmetry sectors: Q spans that sector, about a quarter of
+the rows. Holes and disorder break the mirrors, and Q = I is the whole
+space.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, SingularGeometryError, SingularPointError
+from .errors import InvalidArgumentError, SingularGeometryError
 from .geometry import X_HAT, Geometry, _lattice_sites
 
 K0 = 2.0 * np.pi
@@ -48,47 +49,38 @@ def _scalar_parts(r_norm):
     return f_t, f_l
 
 
-def greens_tensor(r, r_prime) -> np.ndarray:
-    """3x3 Green's tensor between two points (wavelength units)."""
-    r = np.asarray(r, dtype=float)
-    r_prime = np.asarray(r_prime, dtype=float)
-    dr = r - r_prime
-    dist = np.linalg.norm(dr)
-    if dist <= 0.0:
-        raise SingularPointError("Green's tensor is singular at coincident points")
-    f_t, f_l = _scalar_parts(dist)
-    rhat = dr / dist
-    return f_t * np.eye(3) + f_l * np.outer(rhat, rhat)
-
-
-class ModelRows:
-    """Rows indexed by atom, or by (atom, orientation) in the isotropic model.
-
-    Mixed into the matrices over those rows, which carry size and model.
-    """
-
-    @property
-    def n_atoms(self) -> int:
-        return self.size // 3 if self.model == ISOTROPIC else self.size
-
-
 @dataclass(frozen=True)
 class SectorBasis:
-    """Real orthonormal basis of the mirror-symmetry sector of a perfect
-    lattice that the x-polarized beam excites.
+    """Real orthonormal basis of the space M is solved in: the mirror sector
+    a perfect lattice's x-polarized beam excites, or the whole space.
 
     q:    (size, n) columns over the rows of M
-    q_x:  (N_a, n_x) the x rows of the first n_x columns of q, the only
-          columns with weight on the rows the spin wave couples to
+    q_x:  (N_a, n_x) the x rows of the columns x of q, the only columns
+          with weight on the rows the spin wave couples to
+    x:    the slice of q's columns that carry the x rows
     """
 
     q: np.ndarray
     q_x: np.ndarray
+    x: slice
+
+    @property
+    def n_atoms(self) -> int:
+        return self.q_x.shape[0]
 
     def project(self, a: np.ndarray) -> np.ndarray:
         """Q^T A Q, made exactly symmetric (it is so up to roundoff)."""
         r = self.q.T @ a @ self.q
         return 0.5 * (r + r.T)
+
+
+def whole_space(n_atoms: int, model: str) -> SectorBasis:
+    """Q = I over the rows of M; the x rows are every third in the
+    isotropic model."""
+    q_x = np.eye(n_atoms)
+    if model != ISOTROPIC:
+        return SectorBasis(q=q_x, q_x=q_x, x=slice(None))
+    return SectorBasis(q=np.eye(3 * n_atoms), q_x=q_x, x=slice(0, None, 3))
 
 
 def _parity_basis(n: int, sign: float) -> np.ndarray:
@@ -103,9 +95,9 @@ def _parity_basis(n: int, sign: float) -> np.ndarray:
     return q
 
 
-def sector_basis(g: Geometry, model: str) -> SectorBasis | None:
-    """The beam's mirror sector of a perfect lattice; None for any other
-    geometry, whose matrix is solved whole.
+def sector_basis(g: Geometry, model: str) -> SectorBasis:
+    """The beam's mirror sector of a perfect lattice; the whole space for
+    any other geometry.
 
     Site i*N + j sits at x index i and y index j, so a function of the
     sites with parities (a, b) under the two mirrors is a Kronecker product
@@ -123,33 +115,34 @@ def sector_basis(g: Geometry, model: str) -> SectorBasis | None:
         and np.all(g.dipole_orientations == X_HAT)
     )
     if not perfect:
-        return None
+        return whole_space(g.n_atoms, model)
     even, odd = _parity_basis(n, 1.0), _parity_basis(n, -1.0)
     q_x = np.kron(even, even)
     if model != ISOTROPIC:
-        return SectorBasis(q=q_x, q_x=q_x)
+        return SectorBasis(q=q_x, q_x=q_x, x=slice(None))
     blocks = (q_x, np.kron(odd, odd), np.kron(odd, even))
     q = np.zeros((3 * n * n, sum(b.shape[1] for b in blocks)))
     col = 0
     for component, b in enumerate(blocks):
         q[component::3, col : col + b.shape[1]] = b
         col += b.shape[1]
-    return SectorBasis(q=q, q_x=q_x)
+    return SectorBasis(q=q, q_x=q_x, x=slice(0, q_x.shape[1]))
 
 
 @dataclass(frozen=True)
-class InteractionMatrix(ModelRows):
+class InteractionMatrix:
     """Dense complex symmetric coupling matrix.
 
     entries: (N_a, N_a) for the two-level model or (3 N_a, 3 N_a) for the
     isotropic three-excited-state model, with rows/columns of the latter
     ordered atom-major as (atom 0 x, y, z, atom 1 x, ...).
-    basis:   the symmetry sector to solve M in, None for all of it
+    basis:   the space to solve M in; interaction_matrix gives the whole
+             space
     """
 
     entries: np.ndarray
     model: str
-    basis: SectorBasis | None = None
+    basis: SectorBasis
 
     @property
     def size(self) -> int:
@@ -191,7 +184,7 @@ def interaction_matrix(g: Geometry, model: str = TWO_LEVEL) -> InteractionMatrix
             m[iu, ju] = coupling * proj
             m[ju, iu] = coupling * proj
         np.fill_diagonal(m, 0.5j)
-        return InteractionMatrix(entries=m, model=model)
+        return InteractionMatrix(entries=m, model=model, basis=whole_space(n, model))
 
     m = np.zeros((n, 3, n, 3), dtype=complex)
     if n > 1:
@@ -202,4 +195,4 @@ def interaction_matrix(g: Geometry, model: str = TWO_LEVEL) -> InteractionMatrix
     m = m.reshape(3 * n, 3 * n)
     idx = np.arange(3 * n)
     m[idx, idx] = 0.5j
-    return InteractionMatrix(entries=m, model=model)
+    return InteractionMatrix(entries=m, model=model, basis=whole_space(n, model))

@@ -16,14 +16,15 @@ eigenmode xi. The i/(lambda - lambda*) kernel is the Gram matrix of decaying
 exponentials, so K is Hermitian and positive semidefinite; the optimum spin
 wave is the conjugate of its top eigenvector.
 
-For the isotropic model the eigenvectors have 3 N_a orientation components;
-the spin wave still couples through the x components only (rows/columns of
-K), while the mode projection contracts the full sampled field vector.
-
-When the eigensystem was solved in the beam's mirror sector (basis Q), K
-is assembled over the sector's x columns Q_x: the K over the atoms is
+The eigensystem is solved in a basis Q (greens.SectorBasis): the beam's
+mirror sector of a perfect lattice, or the whole space. The mode
+projection contracts the full sampled field with Q, while the spin wave
+couples through the columns of Q that carry the x rows only: in the
+isotropic model M has 3 N_a rows, one per orientation. K is assembled
+over those columns, whose x rows form Q_x; the K over the atoms is
 Q_x K Q_x^T, so an atom-space spin wave s enters as Q_x^T s and the
-optimum lifts back as Q_x times the top eigenvector.
+optimum lifts back as Q_x times the top eigenvector. In the whole space
+Q_x = I.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalError, SingularPairError
-from .greens import ISOTROPIC, SectorBasis
+from .greens import SectorBasis
 from .modes import ModeSamples
 from .spectral import SpectralDecomposition
 
@@ -60,37 +61,17 @@ def _pair_kernel(lam: np.ndarray) -> np.ndarray:
 
 def mode_projections(dec: SpectralDecomposition, samples: ModeSamples) -> np.ndarray:
     """P_xi = v_xi . E*: overlap of each eigenmode with the detection mode."""
-    vecs = dec.eigenvectors
     if samples.model != dec.model:
         raise InvalidArgumentError(
             f"samples are for model {samples.model!r}, decomposition for {dec.model!r}"
         )
-    if dec.model == ISOTROPIC:
-        if samples.values.shape != (dec.n_atoms, 3):
-            raise InvalidArgumentError("isotropic samples must be (N_a, 3) vectors")
-        field = samples.values.conj().reshape(-1)
-    elif samples.values.ndim != 1 or len(samples.values) != dec.size:
-        raise InvalidArgumentError("sample count does not match decomposition size")
-    else:
-        field = samples.values.conj()
-    if dec.basis is not None:
-        field = dec.basis.q.T @ field
-    return vecs.T @ field
-
-
-def _x_components(dec: SpectralDecomposition) -> np.ndarray:
-    """Rows of the eigenvector matrix the spin wave couples to: the x rows
-    of M, or in a sector the x columns of its basis."""
-    if dec.basis is not None:
-        return dec.eigenvectors[: dec.basis.q_x.shape[1]]
-    if dec.model == ISOTROPIC:
-        return dec.eigenvectors[0::3, :]
-    return dec.eigenvectors
-
-
-def _spin_coordinates(basis: SectorBasis | None, s: np.ndarray) -> np.ndarray:
-    """An atom-space spin wave in the coordinates K is assembled over."""
-    return s if basis is None else basis.q_x.T @ s
+    field = samples.values.conj().reshape(-1)
+    if samples.n_atoms != dec.basis.n_atoms or len(field) != dec.size:
+        raise InvalidArgumentError(
+            f"samples of shape {samples.values.shape} do not match a decomposition "
+            f"of {dec.size} rows over {dec.basis.n_atoms} atoms"
+        )
+    return dec.eigenvectors.T @ (dec.basis.q.T @ field)
 
 
 def efficiency_prefactor(samples: ModeSamples) -> float:
@@ -105,18 +86,14 @@ def efficiency_prefactor(samples: ModeSamples) -> float:
 class EfficiencyMatrix:
     """Hermitian efficiency matrix plus its prefactor.
 
-    k is over the atoms, or over the x columns Q_x of the sector basis the
-    eigensystem was solved in; the K over the atoms is then Q_x k Q_x^T.
+    k is over the x columns of the basis the eigensystem was solved in;
+    the K over the atoms is Q_x k Q_x^T.
     """
 
     k: np.ndarray
     prefactor: float
     model: str
-    basis: SectorBasis | None = None
-
-    @property
-    def n_atoms(self) -> int:
-        return self.k.shape[0] if self.basis is None else self.basis.q_x.shape[0]
+    basis: SectorBasis
 
     def hermiticity_residual(self) -> float:
         return float(
@@ -138,7 +115,7 @@ def k_matrix(dec: SpectralDecomposition, samples: ModeSamples) -> EfficiencyMatr
     proj = mode_projections(dec, samples)
     kernel = _pair_kernel(dec.eigenvalues)
     weighted = kernel * np.outer(proj, proj.conj())
-    vx = _x_components(dec)
+    vx = dec.eigenvectors[dec.basis.x]
     k = vx @ weighted @ vx.conj().T
     mat = EfficiencyMatrix(
         k=k,
@@ -165,12 +142,10 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
 def max_efficiency(mat: EfficiencyMatrix) -> RetrievalSolution:
     """Maximal efficiency and the spin wave that achieves it."""
     evals, evecs = np.linalg.eigh(mat.k)
-    top_vec = evecs[:, -1]
-    if mat.basis is not None:
-        # the K over the atoms has the same spectrum plus zeros for the
-        # atom-space directions outside the sector
-        top_vec = mat.basis.q_x @ top_vec
-        evals = np.sort(np.concatenate([evals, np.zeros(mat.n_atoms - len(evals))]))
+    # the K over the atoms has the same spectrum plus zeros for the
+    # atom-space directions outside the basis
+    top_vec = mat.basis.q_x @ evecs[:, -1]
+    evals = np.sort(np.concatenate([evals, np.zeros(mat.basis.n_atoms - len(evals))]))
     top = evals[-1]
     eta = float(mat.prefactor * top)
     gap = float(top - evals[-2]) if len(evals) > 1 else np.inf
@@ -206,7 +181,7 @@ def _check_spin_wave(s, n_atoms: int) -> np.ndarray:
 
 def efficiency_of_spin_wave(mat: EfficiencyMatrix, s) -> float:
     """eta for a given normalized initial spin wave (no silent rescaling)."""
-    s = _spin_coordinates(mat.basis, _check_spin_wave(s, mat.n_atoms))
+    s = mat.basis.q_x.T @ _check_spin_wave(s, mat.basis.n_atoms)
     return float(mat.prefactor * np.real(s @ (mat.k @ s.conj())))
 
 

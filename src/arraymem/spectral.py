@@ -8,10 +8,10 @@ Hermitian sense, and within (near-)degenerate clusters they need not be
 bilinearly orthogonal at all. This module restores the bilinear structure
 as a post-pass and turns the identities into hard, checked invariants.
 
-When M carries a symmetry-sector basis Q (greens.sector_basis), the
-eigensystem is that of Q^T M Q: its eigenvectors are the sector
-coordinates of the eigenvectors Q v of M, and the decomposition carries
-Q along.
+M is decomposed in the basis Q it carries (greens.SectorBasis): the
+eigensystem is that of Q^T M Q, its eigenvectors are the coordinates of
+the eigenvectors Q v of M, and the decomposition carries Q along. With
+Q = I, the whole space, that is M itself.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DefectiveSpectrumError, InvalidArgumentError
-from .greens import InteractionMatrix, ModelRows, SectorBasis
+from .greens import InteractionMatrix, SectorBasis
 
 BILINEAR_TOL = 1e-8
 DECAY_TOL = 1e-10
@@ -33,7 +33,7 @@ CLUSTER_GAP = 1e-9
 
 
 @dataclass(frozen=True)
-class SpectralDecomposition(ModelRows):
+class SpectralDecomposition:
     """Bilinearly normalized eigensystem of the coupling matrix.
 
     eigenvalues:          (n,) complex, ordered by descending imaginary
@@ -44,8 +44,8 @@ class SpectralDecomposition(ModelRows):
     model:                model tag of the source matrix
     trace_residual:       |sum lambda - tr A| / |tr A| of the decomposed
                           matrix A (0 unless measured by eigendecompose)
-    basis:                the sector basis Q when A = Q^T M Q, None when
-                          A = M; eigenvectors of M are then Q v_xi
+    basis:                the basis Q of A = Q^T M Q; eigenvectors of M
+                          are Q v_xi
     """
 
     eigenvalues: np.ndarray
@@ -53,15 +53,13 @@ class SpectralDecomposition(ModelRows):
     bilinear_condition: float
     completeness_residual: float
     model: str
+    basis: SectorBasis
     trace_residual: float = 0.0
-    basis: SectorBasis | None = None
 
     @property
     def size(self) -> int:
-        """Rows of M, in the sector as outside it."""
-        if self.basis is not None:
-            return self.basis.q.shape[0]
-        return len(self.eigenvalues)
+        """Rows of M."""
+        return self.basis.q.shape[0]
 
     def diagnostics(self) -> dict:
         return {
@@ -73,34 +71,45 @@ class SpectralDecomposition(ModelRows):
 
 
 def _cluster_eigenvalues(lam: np.ndarray, gap: float) -> list:
-    """Chain (near-)coincident eigenvalues into clusters.
+    """Group (near-)coincident eigenvalues into clusters: the connected
+    components of |lambda_i - lambda_j| < gap, each in lexicographic order.
 
-    Lexicographic order makes exactly degenerate values adjacent, so
-    chaining consecutive entries within `gap` is enough.
+    Neighbours in lexicographic order need not be the closest pair: a
+    third eigenvalue whose real part sorts between two near-degenerate
+    ones would split them. Only values within gap in real part can be
+    linked, so each is compared with the run of values that follows it.
     """
     order = np.lexsort((lam.imag, lam.real))
-    clusters = []
-    current = [order[0]]
-    for idx in order[1:]:
-        if abs(lam[idx] - lam[current[-1]]) < gap:
-            current.append(idx)
-        else:
-            clusters.append(current)
-            current = [idx]
-    clusters.append(current)
-    return clusters
+    ranked = lam[order].tolist()
+    root = list(range(len(order)))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for i in range(len(order)):
+        j = i + 1
+        while j < len(order) and ranked[j].real - ranked[i].real < gap:
+            if abs(ranked[j] - ranked[i]) < gap:
+                root[find(j)] = find(i)
+            j += 1
+    clusters: dict = {}
+    for i, idx in enumerate(order):
+        clusters.setdefault(find(i), []).append(idx)
+    return list(clusters.values())
 
 
 def eigendecompose(m: InteractionMatrix) -> SpectralDecomposition:
-    """Eigensystem of M, or of Q^T M Q when M carries a sector basis Q,
-    with bilinear normalization and diagnostics."""
+    """Eigensystem of Q^T M Q in the basis Q that M carries, with bilinear
+    normalization and diagnostics."""
     a = m.entries
     if not np.all(np.isfinite(a)):
         raise InvalidArgumentError("interaction matrix has non-finite entries")
     if not np.array_equal(a, a.T):
         raise InvalidArgumentError("interaction matrix is not symmetric")
-    if m.basis is not None:
-        a = m.basis.project(a)
+    a = m.basis.project(a)
 
     lam, vecs = scipy.linalg.eig(a)
 
@@ -169,7 +178,7 @@ def _check_invariants(dec: SpectralDecomposition) -> None:
 
 def reconstruction_residual(m: InteractionMatrix, dec: SpectralDecomposition) -> float:
     """Max-norm of V Lambda V^T - A relative to max |A|, for the matrix A
-    that was decomposed (M, or Q^T M Q in a sector)."""
-    a = m.entries if dec.basis is None else dec.basis.project(m.entries)
+    that was decomposed, Q^T M Q."""
+    a = dec.basis.project(m.entries)
     rebuilt = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.T
     return float(np.max(np.abs(rebuilt - a)) / np.max(np.abs(a)))

@@ -116,7 +116,7 @@ def solve(
     """eta_max = p lambda_max(K) for one geometry and detection mode.
 
     A perfect lattice is solved in the mirror sector of the beam, any
-    other geometry whole. A given dec (one eigensystem shared by every
+    other geometry in the whole space (greens.sector_basis). A given dec (one eigensystem shared by every
     waist of a geometry) or samples (the beam sliced from a parent
     lattice) is used as it is; with samples given, mode is not read.
     The samples cover every atom either way.

@@ -105,7 +105,7 @@ def evolve(
     """
     if t_end <= 0:
         raise InvalidArgumentError("t_end must be positive")
-    s0 = _check_spin_wave(s0, m.n_atoms)
+    s0 = _check_spin_wave(s0, m.basis.n_atoms)
     times = np.linspace(0.0, t_end, n_steps)
 
     if schedule.kind == PI_PULSE:
@@ -113,7 +113,7 @@ def evolve(
         if method == "spectral":
             if dec is None:
                 dec = eigendecompose(m)
-            if dec.basis is not None:
+            if dec.basis.q.shape[1] < m.size:
                 raise InvalidArgumentError(
                     "evolve propagates every mode, not those of a symmetry sector"
                 )
@@ -140,7 +140,7 @@ def evolve(
             e_t = sol.y.T
         else:
             raise InvalidArgumentError(f"unknown method {method!r}")
-        s_t = np.zeros_like(e_t[:, : m.n_atoms])
+        s_t = np.zeros_like(e_t[:, : m.basis.n_atoms])
         return AmplitudeTrajectory(times=times, e=e_t, s=s_t)
 
     # piecewise-constant control: integrate [e; s] segment by segment

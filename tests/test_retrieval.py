@@ -19,6 +19,7 @@ from arraymem import (
     sample_mode,
 )
 from arraymem.errors import InvalidArgumentError, SingularPairError
+from arraymem.greens import whole_space
 from arraymem.modes import ModeSamples
 from arraymem.retrieval import efficiency_prefactor, solution_to_dict
 from arraymem.spectral import SpectralDecomposition
@@ -168,6 +169,7 @@ def test_dark_pair_guard():
         bilinear_condition=0.0,
         completeness_residual=0.0,
         model=TWO_LEVEL,
+        basis=whole_space(1, TWO_LEVEL),
     )
     samples = ModeSamples(
         values=np.array([0.1 + 0j]),
@@ -222,27 +224,28 @@ def test_solution_export_is_json_ready():
 
 
 @pytest.mark.parametrize(
-    "geometry, model, sector",
+    "geometry, model",
     [
-        (build_square_array(4, 0.6), TWO_LEVEL, True),
-        (build_square_array(4, 0.6), ISOTROPIC, True),
-        (remove_holes(build_square_array(5, 0.6), [0, 7, 13, 21]), TWO_LEVEL, False),
-        (apply_position_disorder(build_square_array(4, 0.6), 0.03, 11), TWO_LEVEL, False),
+        (build_square_array(4, 0.6), TWO_LEVEL),
+        (build_square_array(4, 0.6), ISOTROPIC),
+        (remove_holes(build_square_array(5, 0.6), [0, 7, 13, 21]), TWO_LEVEL),
+        (apply_position_disorder(build_square_array(4, 0.6), 0.03, 11), TWO_LEVEL),
+        (remove_holes(build_square_array(3, 0.6), [4]), ISOTROPIC),
     ],
-    ids=["perfect-4-two-level", "perfect-4-isotropic", "holes-5", "disorder-4"],
+    ids=["perfect-4-two-level", "perfect-4-isotropic", "holes-5", "disorder-4",
+         "holes-3-isotropic"],
 )
-def test_k_matrix_is_the_controllability_gramian(geometry, model, sector):
+def test_k_matrix_is_the_controllability_gramian(geometry, model):
     # K = int u u^H dt with u(t) = exp(iMt) E* solves the Lyapunov equation
     # (iM) X + X (iM)^H = -E* E^T; Bartels-Stewart gives X with no
-    # eigenvectors at all, and K is its block on the x rows and columns
+    # eigenvectors at all, and K is its block on the x rows and columns.
+    # The K over the atoms is Q_x K Q_x^T in the sector and the whole space
+    # alike.
     res = studies.solve(geometry, DetectionMode(w0=1.2), model)
-    assert (res.dec.basis is not None) == sector
     m = interaction_matrix(geometry, model).entries
     b = res.samples.values.conj().reshape(-1)
     gramian = scipy.linalg.solve_continuous_lyapunov(1j * m, -np.outer(b, b.conj()))
     x = slice(None, None, 3) if model == ISOTROPIC else slice(None)
-    k = res.k.k
-    if sector:
-        q_x = res.dec.basis.q_x
-        k = q_x @ k @ q_x.T
+    q_x = res.dec.basis.q_x
+    k = q_x @ res.k.k @ q_x.T
     assert np.max(np.abs(k - gramian[x, x])) <= 1e-10 * np.max(np.abs(k))

@@ -36,6 +36,16 @@ def sector_columns(n, model):
     return half * half + rest * rest + rest * half
 
 
+def assert_x_columns(basis, model):
+    """The columns basis.x of q carry the x rows, as q_x, and no other
+    column has weight on them."""
+    rows_x = basis.q if model == TWO_LEVEL else basis.q[0::3]
+    x = np.zeros(basis.q.shape[1], dtype=bool)
+    x[basis.x] = True
+    assert np.array_equal(rows_x[:, x], basis.q_x)
+    assert not np.any(rows_x[:, ~x])
+
+
 @pytest.mark.parametrize("model", MODELS)
 @pytest.mark.parametrize("n", SIZES)
 def test_basis_is_orthonormal_and_invariant(n, model):
@@ -44,11 +54,7 @@ def test_basis_is_orthonormal_and_invariant(n, model):
     q = basis.q
     assert q.shape[1] == sector_columns(n, model)
     assert np.max(np.abs(q.T @ q - np.eye(q.shape[1]))) <= 1e-15
-    # the x columns come first and are the only ones on the x rows
-    rows_x = q if model == TWO_LEVEL else q[0::3]
-    n_x = basis.q_x.shape[1]
-    assert np.array_equal(rows_x[:, :n_x], basis.q_x)
-    assert not np.any(rows_x[:, n_x:])
+    assert_x_columns(basis, model)
     # M maps the sector into itself
     m = interaction_matrix(g, model).entries
     residual = np.linalg.norm(m @ q - q @ basis.project(m))
@@ -71,7 +77,7 @@ def test_sector_matches_dense(n, model):
     g = build_square_array(n, 0.6)
     mode = DetectionMode(w0=0.3 * n + 0.5)
     sector = studies.solve(g, mode, model)
-    assert sector.dec.basis is not None
+    assert sector.dec.basis.q.shape[1] == sector_columns(n, model)
     dense = studies.solve(
         g, None, model,
         dec=eigendecompose(interaction_matrix(g, model)), samples=sector.samples,
@@ -104,8 +110,13 @@ def test_broken_symmetry_is_solved_whole(model):
         remove_holes(g0, [0, 3, 12, 15]),  # mirror-symmetric holes too
         apply_position_disorder(g0, 0.02, 5),
     ):
-        assert sector_basis(g, model) is None
-        assert studies.solve(g, DetectionMode(w0=1.2), model).dec.basis is None
+        basis = sector_basis(g, model)
+        size = interaction_matrix(g, model).size
+        assert np.array_equal(basis.q, np.eye(size))
+        assert np.array_equal(basis.q_x, np.eye(g.n_atoms))
+        assert_x_columns(basis, model)
+        dec = studies.solve(g, DetectionMode(w0=1.2), model).dec
+        assert dec.eigenvectors.shape == (size, size)
 
 
 def test_evolve_rejects_a_sector_eigensystem():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from arraymem import (
     ISOTROPIC,
@@ -11,7 +12,7 @@ from arraymem import (
     remove_holes,
 )
 from arraymem.errors import DefectiveSpectrumError, InvalidArgumentError
-from arraymem.greens import InteractionMatrix
+from arraymem.greens import InteractionMatrix, whole_space
 from arraymem.spectral import reconstruction_residual
 
 
@@ -86,16 +87,37 @@ def test_defective_matrix_raises():
     # symmetric, eigenvalue 0 twice, rank 1: a genuine Jordan block whose
     # lone eigenvector (1, i) has vanishing bilinear norm
     m = InteractionMatrix(
-        entries=np.array([[1.0 + 0j, 1.0j], [1.0j, -1.0 + 0j]]), model=TWO_LEVEL
+        entries=np.array([[1.0 + 0j, 1.0j], [1.0j, -1.0 + 0j]]), model=TWO_LEVEL,
+        basis=whole_space(2, TWO_LEVEL),
     )
     with pytest.raises(DefectiveSpectrumError) as err:
         eigendecompose(m)
     assert err.value.indices or "defective" in str(err.value).lower()
 
 
+@pytest.mark.parametrize(
+    "third", [1 + 2e-10 + 3j, 1 + 2e-9 + 3j], ids=["between-the-pair", "beside-the-pair"]
+)
+def test_near_degenerate_pair_is_one_cluster(third):
+    # a near-degenerate pair whose real parts bracket a third eigenvalue's
+    # sorts apart in lexicographic order, and is still one cluster
+    rng = np.random.default_rng(1)
+    a = 0.3 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    o = scipy.linalg.expm(a - a.T)  # complex orthogonal, o^T o = I
+    entries = o @ np.diag([1 + 0.5j, 1 + 5e-10 + 0.5j, third]) @ o.T
+    m = InteractionMatrix(
+        entries=0.5 * (entries + entries.T), model=TWO_LEVEL,
+        basis=whole_space(3, TWO_LEVEL),
+    )
+    dec = eigendecompose(m)
+    assert dec.bilinear_condition < 1e-12
+    assert reconstruction_residual(m, dec) < 1e-13
+
+
 def test_asymmetric_matrix_rejected():
     m = InteractionMatrix(
-        entries=np.array([[0.5j, 0.1], [0.2, 0.5j]]), model=TWO_LEVEL
+        entries=np.array([[0.5j, 0.1], [0.2, 0.5j]]), model=TWO_LEVEL,
+        basis=whole_space(2, TWO_LEVEL),
     )
     with pytest.raises(InvalidArgumentError):
         eigendecompose(m)
@@ -103,7 +125,8 @@ def test_asymmetric_matrix_rejected():
 
 def test_nonfinite_matrix_rejected():
     m = InteractionMatrix(
-        entries=np.array([[0.5j, np.inf], [np.inf, 0.5j]]), model=TWO_LEVEL
+        entries=np.array([[0.5j, np.inf], [np.inf, 0.5j]]), model=TWO_LEVEL,
+        basis=whole_space(2, TWO_LEVEL),
     )
     with pytest.raises(InvalidArgumentError):
         eigendecompose(m)
