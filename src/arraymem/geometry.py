@@ -15,29 +15,23 @@ import numpy as np
 from .errors import InvalidArgumentError, SingularGeometryError
 
 MIN_SEPARATION = 1e-9
-UNIT_NORM_TOL = 1e-12
-
-X_HAT = np.array([1.0, 0.0, 0.0])
 
 
 @dataclass(frozen=True)
 class Geometry:
     """Immutable atom configuration.
 
-    positions:            (N_a, 3) array, wavelength units
-    dipole_orientations:  (N_a, 3) array of unit vectors (x for the
-                          two-level model)
-    lattice_constant:     lattice spacing d
-    linear_size:          N for an N x N parent lattice
-    hole_indices:         removed sites, indexed into the parent lattice
-                          (row-major, 0 .. N^2-1)
-    site_indices:         parent-lattice index of each remaining atom
-    sigma:                in-plane Gaussian disorder std (0 for none)
-    disorder_seed:        64-bit PRNG seed, None when sigma == 0
+    positions:         (N_a, 3) array, wavelength units
+    lattice_constant:  lattice spacing d
+    linear_size:       N for an N x N parent lattice
+    hole_indices:      removed sites, indexed into the parent lattice
+                       (row-major, 0 .. N^2-1)
+    site_indices:      parent-lattice index of each remaining atom
+    sigma:             in-plane Gaussian disorder std (0 for none)
+    disorder_seed:     64-bit PRNG seed, None when sigma == 0
     """
 
     positions: np.ndarray
-    dipole_orientations: np.ndarray
     lattice_constant: float
     linear_size: int
     hole_indices: frozenset = frozenset()
@@ -47,14 +41,8 @@ class Geometry:
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float)
-        dip = np.asarray(self.dipole_orientations, dtype=float)
         if pos.ndim != 2 or pos.shape[1] != 3:
             raise InvalidArgumentError("positions must be an (N_a, 3) array")
-        if dip.shape != pos.shape:
-            raise InvalidArgumentError("one dipole orientation per atom required")
-        norms = np.linalg.norm(dip, axis=1)
-        if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
-            raise InvalidArgumentError("dipole orientations must have unit norm")
         site = self.site_indices
         if site is None:
             site = np.arange(len(pos))
@@ -62,10 +50,8 @@ class Geometry:
         if site.shape != (len(pos),):
             raise InvalidArgumentError("site_indices must match atom count")
         pos.setflags(write=False)
-        dip.setflags(write=False)
         site.setflags(write=False)
         object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "dipole_orientations", dip)
         object.__setattr__(self, "site_indices", site)
         object.__setattr__(self, "hole_indices", frozenset(self.hole_indices))
         self._check_separation()
@@ -82,13 +68,14 @@ class Geometry:
         return len(self.positions)
 
     def min_separation(self) -> float:
+        """Smallest pair distance, summed over per-coordinate differences,
+        which stay exact away from the origin (|p|^2 terms would cancel)."""
         pos = self.positions
         if len(pos) < 2:
             return np.inf
-        sq = np.sum(pos**2, axis=1)
-        dist_sq = sq[:, None] + sq[None, :] - 2.0 * (pos @ pos.T)
+        dist_sq = sum(np.subtract.outer(c, c) ** 2 for c in pos.T)
         np.fill_diagonal(dist_sq, np.inf)
-        return float(np.sqrt(max(dist_sq.min(), 0.0)))
+        return float(np.sqrt(dist_sq.min()))
 
     def to_json(self) -> str:
         """The fields that regenerate the geometry: build_square_array(N, d),
@@ -114,16 +101,18 @@ def _lattice_sites(n: int, d: float) -> np.ndarray:
 
 
 def build_square_array(n: int, d: float) -> Geometry:
-    """Perfect N x N square array with lattice constant d, all dipoles along x."""
+    """Perfect N x N square array with lattice constant d.
+
+    A geometry is positions only: which dipole components the atoms keep
+    is the model's choice (greens.COMPONENTS).
+    """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidArgumentError(f"linear size must be a positive integer, got {n!r}")
     if d <= 0:
         raise InvalidArgumentError(f"lattice constant must be positive, got {d!r}")
     pos = _lattice_sites(int(n), float(d))
-    dip = np.tile(X_HAT, (len(pos), 1))
     return Geometry(
         positions=pos,
-        dipole_orientations=dip,
         lattice_constant=float(d),
         linear_size=int(n),
     )
@@ -151,7 +140,6 @@ def remove_holes(g: Geometry, holes) -> Geometry:
     keep = np.array([s not in hole_set for s in g.site_indices])
     return Geometry(
         positions=g.positions[keep],
-        dipole_orientations=g.dipole_orientations[keep],
         lattice_constant=g.lattice_constant,
         linear_size=g.linear_size,
         hole_indices=g.hole_indices | frozenset(hole_set),
@@ -184,7 +172,6 @@ def apply_position_disorder(g: Geometry, sigma: float, seed: int) -> Geometry:
     delta = _site_displacements(g.linear_size, float(sigma), int(seed))
     return Geometry(
         positions=g.positions + delta[g.site_indices],
-        dipole_orientations=g.dipole_orientations,
         lattice_constant=g.lattice_constant,
         linear_size=g.linear_size,
         hole_indices=g.hole_indices,

@@ -8,8 +8,8 @@ propagating disk,
 with E_y = 0 and E_z fixed by transversality. Fourier transforming gives
 two Bessel-kernel integrals over b = k_t/k0 in [0, 1]:
 
-    E^x(rho, z) = E0 Int db b  exp(-b^2 k0^2 w0^2/4) exp(i k0 z sqrt(1-b^2)) J0(b k0 rho)
-    E^z(rho, z) = -i E0 (x/rho) Int db b^2/sqrt(1-b^2) (same weights) J1(b k0 rho)
+    E^x(rho, z) = Int db b  exp(-b^2 k0^2 w0^2/4) exp(i k0 z sqrt(1-b^2)) J0(b k0 rho)
+    E^z(rho, z) = -i (x/rho) Int db b^2/sqrt(1-b^2) (same weights) J1(b k0 rho)
 
 Both are evaluated with the substitution b = sin(theta), which removes the
 endpoint singularity of the E^z kernel, followed by Gauss-Legendre
@@ -26,7 +26,7 @@ from scipy.special import j0, j1
 
 from .errors import InvalidArgumentError, NumericalError
 from .geometry import Geometry
-from .greens import ISOTROPIC, MODELS, TWO_LEVEL, K0, _scalar_parts
+from .greens import TWO_LEVEL, K0, _components, _scalar_parts
 
 _PANEL_ORDER = 32
 _MAX_PANELS = 1 << 10
@@ -65,10 +65,10 @@ def _start_panels(max_arg: float) -> int:
     return n
 
 
-def _field_block(w0, e0, rho, z, tol, flux_weight=False):
+def _field_block(w0, rho, z, tol, flux_weight=False):
     """Adaptive evaluation of (E^x, g) on a batch of (rho, z) points.
 
-    g is the azimuth-free part of the z-component: E^z = -i e0 (x/rho) g.
+    g is the azimuth-free part of the z-component: E^z = -i (x/rho) g.
     With flux_weight the spectrum is multiplied by k_z/k0, producing the
     auxiliary field whose plane overlaps measure photon flux.
     """
@@ -86,14 +86,14 @@ def _field_block(w0, e0, rho, z, tol, flux_weight=False):
             weight = weight * c
         phase = np.exp(1j * K0 * np.outer(c, z))
         bess_arg = K0 * np.outer(s, rho)
-        ex = e0 * ((weight * c) @ (j0(bess_arg) * phase))
+        ex = (weight * c) @ (j0(bess_arg) * phase)
         g = (weight * s) @ (j1(bess_arg) * phase)
         if prev is not None:
             err = max(
                 np.max(np.abs(ex - prev[0]), initial=0.0),
                 np.max(np.abs(g - prev[1]), initial=0.0),
             )
-            if err <= tol * max(abs(e0), 1e-300):
+            if err <= tol:
                 return ex, g
         prev = (ex, g)
         n *= 2
@@ -104,7 +104,7 @@ def _field_block(w0, e0, rho, z, tol, flux_weight=False):
     )
 
 
-def _field_components(w0, e0, rho, z, tol, flux_weight=False):
+def _field_components(w0, rho, z, tol, flux_weight=False):
     """Chunked wrapper around _field_block, run once per distinct (rho, z).
 
     The fields depend on the point only through (rho, z), which a centred
@@ -122,7 +122,7 @@ def _field_components(w0, e0, rho, z, tol, flux_weight=False):
     for lo in range(0, len(points), _FIELD_CHUNK):
         sl = slice(lo, lo + _FIELD_CHUNK)
         ex[sl], g[sl] = _field_block(
-            w0, e0, points[sl, 0], points[sl, 1], tol, flux_weight
+            w0, points[sl, 0], points[sl, 1], tol, flux_weight
         )
     inverse = inverse.reshape(-1)
     return ex[inverse], g[inverse]
@@ -130,7 +130,9 @@ def _field_components(w0, e0, rho, z, tol, flux_weight=False):
 
 @dataclass
 class DetectionMode:
-    """Detection beam: waist, amplitude, sidedness, quadrature tolerance.
+    """Detection beam: waist, sidedness, quadrature tolerance.
+
+    The beam has unit amplitude: eta does not depend on it.
 
     two_sided selects the symmetric superposition of beams leaving the
     array toward +z and -z; it enters only as a factor 2 on efficiencies
@@ -142,7 +144,6 @@ class DetectionMode:
     """
 
     w0: float | None
-    e0: float = 1.0
     two_sided: bool = True
     quadrature_tolerance: float = 1e-10
 
@@ -170,9 +171,9 @@ def detection_field(m: DetectionMode, r) -> np.ndarray:
     """Complex field vector (E^x, 0, E^z) of the +z beam at a point."""
     r = np.asarray(r, dtype=float)
     rho = float(np.hypot(r[0], r[1]))
-    ex, g = _field_components(_waist(m), m.e0, [rho], [r[2]], m.quadrature_tolerance)
+    ex, g = _field_components(_waist(m), [rho], [r[2]], m.quadrature_tolerance)
     if rho > 0.0:
-        ez = -1j * m.e0 * (r[0] / rho) * g[0]
+        ez = -1j * (r[0] / rho) * g[0]
     else:
         ez = 0.0 + 0.0j  # J1(0) = 0
     return np.array([ex[0], 0.0 + 0.0j, ez])
@@ -218,7 +219,7 @@ def mode_norm(m: DetectionMode) -> float:
     radial quadrature; the propagation phases are unimodular, so the
     result does not depend on the plane z = const chosen.
     """
-    return np.pi * m.e0**2 / K0**2 * _radial_norm_integral(_waist(m), flux_weighted=False)
+    return np.pi / K0**2 * _radial_norm_integral(_waist(m), flux_weighted=False)
 
 
 def mode_flux_norm(m: DetectionMode) -> float:
@@ -229,23 +230,22 @@ def mode_flux_norm(m: DetectionMode) -> float:
     photons per unit time; it agrees with the surface norm to O((lambda/w0)^2)
     but has no grazing-wave singularity (the integrand is entire).
     """
-    return np.pi * m.e0**2 / K0**2 * _radial_norm_integral(_waist(m), flux_weighted=True)
+    return np.pi / K0**2 * _radial_norm_integral(_waist(m), flux_weighted=True)
 
 
 @dataclass(frozen=True)
 class ModeSamples:
     """Detection-mode field sampled at the atoms plus the flux norm.
 
-    values: (N_a,) complex projections E_det(r_j) . d_j* for the two-level
-    model, or (N_a, 3) field vectors for the isotropic model. f_flux is the
-    photon-flux norm entering efficiencies.
+    values: (N_a, c) complex field components E_det(r_j), the first c of
+    (x, y, z) that the model's dipoles keep: (N_a, 1) holds E^x for the
+    two-level model, (N_a, 3) the full vector for the isotropic one.
+    f_flux is the photon-flux norm entering efficiencies.
     """
 
     values: np.ndarray
     f_flux: float
-    model: str
     w0: float
-    e0: float
     two_sided: bool
 
     @property
@@ -253,43 +253,31 @@ class ModeSamples:
         return len(self.values)
 
     def intensities(self) -> np.ndarray:
-        """|E_j|^2 per atom (summed over components for the isotropic model)."""
-        mags = np.abs(self.values) ** 2
-        return mags if mags.ndim == 1 else mags.sum(axis=1)
+        """|E_j|^2 per atom, summed over the kept components."""
+        return (np.abs(self.values) ** 2).sum(axis=1)
 
 
 def sample_mode(m: DetectionMode, g: Geometry, model: str = TWO_LEVEL) -> ModeSamples:
-    """Sample the +z beam at the atom positions."""
-    if model not in MODELS:
-        raise InvalidArgumentError(f"model must be one of {MODELS}, got {model!r}")
+    """Sample the +z beam at the atom positions, the model's c components."""
+    c = _components(model)
     pos = g.positions
     rho = np.hypot(pos[:, 0], pos[:, 1])
-    ex, gz = _field_components(_waist(m), m.e0, rho, pos[:, 2], m.quadrature_tolerance)
+    ex, gz = _field_components(_waist(m), rho, pos[:, 2], m.quadrature_tolerance)
     ez = np.zeros_like(ex)
     on_axis = rho == 0.0
-    ez[~on_axis] = -1j * m.e0 * (pos[~on_axis, 0] / rho[~on_axis]) * gz[~on_axis]
-    if model == ISOTROPIC:
-        values = np.stack([ex, np.zeros_like(ex), ez], axis=1)
-    else:
-        dip = g.dipole_orientations
-        values = ex * dip[:, 0].conj() + ez * dip[:, 2].conj()
+    ez[~on_axis] = -1j * (pos[~on_axis, 0] / rho[~on_axis]) * gz[~on_axis]
     return ModeSamples(
-        values=values,
+        values=np.stack((ex, np.zeros_like(ex), ez)[:c], axis=1),
         f_flux=mode_flux_norm(m),
-        model=model,
         w0=m.w0,
-        e0=m.e0,
         two_sided=m.two_sided,
     )
 
 
 def samples_to_rows(g: Geometry, samples: ModeSamples) -> list:
-    """CSV-ready rows (site, x, y, Re E, Im E) for sampled fields.
-
-    Isotropic samples are reported through their x component, the one the
-    spin wave couples to.
-    """
-    values = samples.values if samples.values.ndim == 1 else samples.values[:, 0]
+    """CSV-ready rows (site, x, y, Re E, Im E) of the sampled E^x, the
+    component the spin wave couples to."""
+    values = samples.values[:, 0]
     return [
         {
             "site": int(g.site_indices[j]),
@@ -367,7 +355,7 @@ def validate_projection(
         half = (edges[1:] - edges[:-1]) / 2.0
         rho = (mid[:, None] + half[:, None] * x[None, :]).ravel()
         w_rho = (half[:, None] * w[None, :]).ravel()
-        ex, gz = _field_components(m.w0, m.e0, rho, [plane_z], tol, flux_weight=True)
+        ex, gz = _field_components(m.w0, rho, [plane_z], tol, flux_weight=True)
         phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
         w_phi = 2.0 * np.pi / n_phi
         total = 0.0 + 0.0j
@@ -388,7 +376,7 @@ def validate_projection(
             gd = f_t[:, None] * dvec[None, :] + (f_l * (rhat @ dvec))[:, None] * rhat
             gd = gd.reshape(len(rho), len(ph), 3)
             e_x = ex[:, None]
-            e_z = -1j * m.e0 * cos_p[None, :] * gz[:, None]
+            e_z = -1j * cos_p[None, :] * gz[:, None]
             integrand = e_x.conj() * gd[:, :, 0] + e_z.conj() * gd[:, :, 2]
             total += np.sum((w_rho * rho)[:, None] * integrand) * w_phi
         return total

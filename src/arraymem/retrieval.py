@@ -19,8 +19,8 @@ wave is the conjugate of its top eigenvector.
 The eigensystem is solved in a basis Q (greens.SectorBasis): the beam's
 mirror sector of a perfect lattice, or the whole space. The mode
 projection contracts the full sampled field with Q, while the spin wave
-couples through the columns of Q that carry the x rows only: in the
-isotropic model M has 3 N_a rows, one per orientation. K is assembled
+couples through the columns of Q that carry the x rows only: M has
+c N_a rows, one per atom and kept dipole component. K is assembled
 over those columns, whose x rows form Q_x; the K over the atoms is
 Q_x K Q_x^T, so an atom-space spin wave s enters as Q_x^T s and the
 optimum lifts back as Q_x times the top eigenvector. In the whole space
@@ -61,10 +61,6 @@ def _pair_kernel(lam: np.ndarray) -> np.ndarray:
 
 def mode_projections(dec: SpectralDecomposition, samples: ModeSamples) -> np.ndarray:
     """P_xi = v_xi . E*: overlap of each eigenmode with the detection mode."""
-    if samples.model != dec.model:
-        raise InvalidArgumentError(
-            f"samples are for model {samples.model!r}, decomposition for {dec.model!r}"
-        )
     field = samples.values.conj().reshape(-1)
     if samples.n_atoms != dec.basis.n_atoms or len(field) != dec.size:
         raise InvalidArgumentError(
@@ -92,7 +88,6 @@ class EfficiencyMatrix:
 
     k: np.ndarray
     prefactor: float
-    model: str
     basis: SectorBasis
 
     def hermiticity_residual(self) -> float:
@@ -120,7 +115,6 @@ def k_matrix(dec: SpectralDecomposition, samples: ModeSamples) -> EfficiencyMatr
     mat = EfficiencyMatrix(
         k=k,
         prefactor=efficiency_prefactor(samples),
-        model=dec.model,
         basis=dec.basis,
     )
     res = mat.hermiticity_residual()

@@ -41,7 +41,6 @@ class SpectralDecomposition:
     eigenvectors:         (n, n) complex, columns v_xi with v^T v = 1
     bilinear_condition:   max |V^T V - I| entry
     completeness_residual:max |V V^T - I| entry
-    model:                model tag of the source matrix
     trace_residual:       |sum lambda - tr A| / |tr A| of the decomposed
                           matrix A (0 unless measured by eigendecompose)
     basis:                the basis Q of A = Q^T M Q; eigenvectors of M
@@ -52,7 +51,6 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray
     bilinear_condition: float
     completeness_residual: float
-    model: str
     basis: SectorBasis
     trace_residual: float = 0.0
 
@@ -149,7 +147,6 @@ def eigendecompose(m: InteractionMatrix) -> SpectralDecomposition:
         eigenvectors=vecs,
         bilinear_condition=bilinear,
         completeness_residual=completeness,
-        model=m.model,
         trace_residual=float(abs(lam.sum() - trace) / max(abs(trace), 1e-300)),
         basis=m.basis,
     )

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from arraymem.errors import InvalidArgumentError, NumericalError
-from arraymem.greens import ISOTROPIC, InteractionMatrix
+from arraymem.greens import InteractionMatrix
 from arraymem.modes import ModeSamples
 from arraymem.retrieval import _check_spin_wave, efficiency_prefactor
 from arraymem.spectral import SpectralDecomposition, eigendecompose
@@ -78,15 +78,6 @@ class AmplitudeTrajectory:
         )
 
 
-def _embed_excited(s0: np.ndarray, model: str, size: int) -> np.ndarray:
-    """Initial excited-state vector for a pi-pulse from the spin wave."""
-    if model == ISOTROPIC:
-        e0 = np.zeros(size, dtype=complex)
-        e0[0::3] = s0
-        return e0
-    return s0.astype(complex)
-
-
 def evolve(
     m: InteractionMatrix,
     s0,
@@ -107,9 +98,12 @@ def evolve(
         raise InvalidArgumentError("t_end must be positive")
     s0 = _check_spin_wave(s0, m.basis.n_atoms)
     times = np.linspace(0.0, t_end, n_steps)
+    c = m.size // m.basis.n_atoms  # M has a row per (atom, dipole component)
 
     if schedule.kind == PI_PULSE:
-        e0 = _embed_excited(s0, m.model, m.size)
+        # the pi-pulse puts the spin wave into the x dipoles
+        e0 = np.zeros(m.size, dtype=complex)
+        e0[::c] = s0
         if method == "spectral":
             if dec is None:
                 dec = eigendecompose(m)
@@ -152,12 +146,8 @@ def evolve(
             e = y[:size]
             s = y[size:]
             de = 1j * delta * e + 1j * (a @ e)
-            if m.model == ISOTROPIC:
-                de[0::3] += -1j * omega * s
-                ds = -1j * np.conj(omega) * e[0::3]
-            else:
-                de += -1j * omega * s
-                ds = -1j * np.conj(omega) * e
+            de[::c] += -1j * omega * s
+            ds = -1j * np.conj(omega) * e[::c]
             return np.concatenate([de, ds])
 
         return rhs

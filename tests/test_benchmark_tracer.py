@@ -27,6 +27,7 @@ def test_tracer_wraps_a_traced_run_and_restores_every_name(tmp_path, capsys):
         assert callable(getattr(importlib.import_module(module_name), attr)), (module_name, attr)
     argvs = [
         ["finite-time", "--N", "3"],
+        ["optimal-waist", "--N", "3", "--model", "isotropic"],
         ["holes", "--N", "3", "--w0", "1", "--hole-counts", "1", "--samples", "1",
          "--workers", "1"],
     ]

@@ -16,7 +16,6 @@ def test_single_site_lattice():
     g = build_square_array(1, 0.6)
     assert g.n_atoms == 1
     np.testing.assert_array_equal(g.positions, [[0.0, 0.0, 0.0]])
-    np.testing.assert_array_equal(g.dipole_orientations, [[1.0, 0.0, 0.0]])
 
 
 def test_two_by_two_symmetric_about_origin():
@@ -133,17 +132,24 @@ def test_coincident_atoms_rejected():
     with pytest.raises(SingularGeometryError):
         Geometry(
             positions=np.zeros((2, 3)),
-            dipole_orientations=np.tile([1.0, 0, 0], (2, 1)),
             lattice_constant=0.6,
             linear_size=2,
         )
 
 
-def test_non_unit_dipole_rejected():
-    with pytest.raises(InvalidArgumentError):
-        Geometry(
-            positions=np.array([[0.0, 0, 0]]),
-            dipole_orientations=np.array([[1.0, 1.0, 0]]),
-            lattice_constant=0.6,
-            linear_size=1,
-        )
+def pair(p, offset):
+    p = np.asarray(p, dtype=float)
+    return Geometry(positions=np.array([p, p + offset]), lattice_constant=1.0, linear_size=2)
+
+
+def test_close_pair_far_from_origin_is_accepted():
+    # 1e-8 apart at x = 10: |p_i|^2 + |p_j|^2 - 2 p_i.p_j cancels to 0 here
+    g = pair([10.0, 0.0, 0.0], [1e-8, 0.0, 0.0])
+    assert g.min_separation() == pytest.approx(1e-8, rel=1e-6)
+
+
+def test_coincident_pair_far_from_origin_is_rejected():
+    # 1e-10 apart, below MIN_SEPARATION: |p_i|^2 + |p_j|^2 - 2 p_i.p_j
+    # leaves 2.4e-7 of roundoff here
+    with pytest.raises(SingularGeometryError, match="1.000e-10"):
+        pair([8.5485, 9.3585, 0.0], [-1e-10, 0.0, 0.0])

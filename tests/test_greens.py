@@ -4,15 +4,19 @@ import pytest
 from arraymem import (
     ISOTROPIC,
     TWO_LEVEL,
+    DetectionMode,
+    apply_position_disorder,
     build_square_array,
     interaction_matrix,
+    remove_holes,
+    sample_mode,
 )
 from arraymem.errors import (
     InvalidArgumentError,
     SingularGeometryError,
 )
 from arraymem.geometry import Geometry
-from arraymem.greens import K0, InteractionMatrix
+from arraymem.greens import K0, InteractionMatrix, sector_basis
 
 RNG = np.random.default_rng(314)
 
@@ -32,7 +36,6 @@ def greens_block(r, r_prime) -> np.ndarray:
     off-diagonal 3x3 block is (3 pi / k0) G."""
     g = Geometry(
         positions=np.array([r, r_prime], dtype=float),
-        dipole_orientations=np.tile([1.0, 0, 0], (2, 1)),
         lattice_constant=1.0,
         linear_size=1,
         site_indices=[0, 1],
@@ -80,7 +83,6 @@ def test_trace_identity():
 def test_distant_pair_coupling_is_small():
     g = Geometry(
         positions=np.array([[0.0, 0, 0], [1e3, 0, 0]]),
-        dipole_orientations=np.tile([1.0, 0, 0], (2, 1)),
         lattice_constant=1e3,
         linear_size=1,
         site_indices=[0, 1],
@@ -109,7 +111,6 @@ def test_permutation_similarity():
     perm = RNG.permutation(9)
     g2 = Geometry(
         positions=g.positions[perm],
-        dipole_orientations=g.dipole_orientations[perm],
         lattice_constant=0.6,
         linear_size=3,
         site_indices=g.site_indices[perm],
@@ -118,17 +119,25 @@ def test_permutation_similarity():
     np.testing.assert_allclose(m2, m[np.ix_(perm, perm)], rtol=0, atol=1e-15)
 
 
-def test_two_level_is_xx_subblock_of_isotropic():
-    g = build_square_array(2, 0.6)
-    m_tl = interaction_matrix(g, TWO_LEVEL).entries
-    m_iso = interaction_matrix(g, ISOTROPIC).entries
-    np.testing.assert_array_equal(m_tl, m_iso[0::3, 0::3])
+@pytest.mark.parametrize("g", [
+    build_square_array(4, 0.6),
+    remove_holes(build_square_array(4, 0.6), [0, 5]),
+    apply_position_disorder(build_square_array(4, 0.6), 0.03, 99),
+], ids=["perfect", "holed", "disordered"])
+def test_two_level_is_the_isotropic_x_component(g):
+    # bit for bit: the x dipoles of the isotropic model are the two-level atoms
+    assert np.array_equal(
+        interaction_matrix(g, TWO_LEVEL).entries, interaction_matrix(g, ISOTROPIC).entries[::3, ::3]
+    )
+    mode = DetectionMode(w0=1.2)
+    assert np.array_equal(
+        sample_mode(mode, g, TWO_LEVEL).values, sample_mode(mode, g, ISOTROPIC).values[:, :1]
+    )
+    assert np.array_equal(sector_basis(g, TWO_LEVEL).q, sector_basis(g, ISOTROPIC).q_x)
 
 
 @pytest.mark.parametrize("model", [TWO_LEVEL, ISOTROPIC])
 def test_im_part_positive_semidefinite(model):
-    from arraymem import apply_position_disorder
-
     for g in (
         build_square_array(4, 0.45),
         apply_position_disorder(build_square_array(4, 0.7), 0.04, 3),
@@ -140,7 +149,6 @@ def test_im_part_positive_semidefinite(model):
 def test_duplicate_positions_rejected():
     bad = Geometry(
         positions=np.array([[0.0, 0, 0], [1e-8, 0, 0]]),
-        dipole_orientations=np.tile([1.0, 0, 0], (2, 1)),
         lattice_constant=0.6,
         linear_size=2,
         site_indices=[0, 1],
@@ -150,7 +158,6 @@ def test_duplicate_positions_rejected():
     with pytest.raises(SingularGeometryError):
         Geometry(
             positions=np.array([[0.0, 0, 0], [0.0, 0, 0]]),
-            dipole_orientations=np.tile([1.0, 0, 0], (2, 1)),
             lattice_constant=0.6,
             linear_size=2,
         )

@@ -5,7 +5,6 @@ import pytest
 
 from arraymem import (
     ISOTROPIC,
-    TWO_LEVEL,
     DetectionMode,
     build_square_array,
     detection_field,
@@ -19,11 +18,11 @@ from arraymem.greens import K0
 from arraymem.modes import _field_components
 
 
-def focus_amplitude(w0, e0=1.0):
+def focus_amplitude(w0):
     """Closed form of E^x at the focus from the radial antiderivative:
-    E0 * 2/(k0 w0)^2 * (1 - exp(-(k0 w0)^2/4))."""
+    2/(k0 w0)^2 * (1 - exp(-(k0 w0)^2/4))."""
     a = (K0 * w0) ** 2 / 4.0
-    return e0 * (1.0 - np.exp(-a)) / (2.0 * a)
+    return (1.0 - np.exp(-a)) / (2.0 * a)
 
 
 def mode_norm_realspace(m: DetectionMode, z: float = 0.0) -> float:
@@ -45,8 +44,8 @@ def mode_norm_realspace(m: DetectionMode, z: float = 0.0) -> float:
         half = (edges[1:] - edges[:-1]) / 2.0
         rho = (mid[:, None] + half[:, None] * x[None, :]).ravel()
         wts = (half[:, None] * w[None, :]).ravel()
-        ex, g = _field_components(m.w0, m.e0, rho, [z], tol)
-        ez_mag2 = np.abs(m.e0 * g) ** 2
+        ex, g = _field_components(m.w0, rho, [z], tol)
+        ez_mag2 = np.abs(g) ** 2
         radial = 2.0 * np.pi * np.abs(ex) ** 2 + np.pi * ez_mag2
         return float(np.sum(wts * rho * radial))
 
@@ -82,7 +81,7 @@ def test_a_beam_without_a_waist_cannot_be_sampled():
 
 
 def test_mode_pickle_round_trip():
-    m = DetectionMode(w0=1.5, e0=2.0, two_sided=False, quadrature_tolerance=1e-9)
+    m = DetectionMode(w0=1.5, two_sided=False, quadrature_tolerance=1e-9)
     back = pickle.loads(pickle.dumps(m))
     assert back == m
     assert mode_norm(back) == mode_norm(m)
@@ -135,17 +134,6 @@ def test_conjugate_mirror_symmetry():
         assert down[2] == pytest.approx(-np.conj(up[2]), rel=1e-12)
 
 
-def test_norm_scales_with_amplitude_squared():
-    base = mode_norm(DetectionMode(w0=2.0, e0=1.0))
-    assert mode_norm(DetectionMode(w0=2.0, e0=2.0)) == pytest.approx(
-        4.0 * base, rel=1e-12
-    )
-    fbase = mode_flux_norm(DetectionMode(w0=2.0, e0=1.0))
-    assert mode_flux_norm(DetectionMode(w0=2.0, e0=2.0)) == pytest.approx(
-        4.0 * fbase, rel=1e-12
-    )
-
-
 def test_surface_norm_plane_independent():
     m = DetectionMode(w0=2.0)
     fk = mode_norm(m)
@@ -168,13 +156,14 @@ def test_flux_norm_below_surface_norm():
 def test_single_atom_sample_is_focus_value():
     g = build_square_array(1, 0.6)
     s = sample_mode(DetectionMode(w0=2.0), g)
-    assert s.values[0] == pytest.approx(focus_amplitude(2.0), rel=1e-10)
+    assert s.values[0, 0] == pytest.approx(focus_amplitude(2.0), rel=1e-10)
 
 
 def test_fourfold_symmetry_on_2x2():
     g = build_square_array(2, 0.6)
     s = sample_mode(DetectionMode(w0=1.5), g)
-    mags = np.abs(s.values)
+    assert s.values.shape == (4, 1)
+    mags = np.abs(s.values[:, 0])
     np.testing.assert_allclose(mags, mags[0], rtol=1e-12)
 
 
@@ -198,7 +187,7 @@ def test_radial_monotonicity_on_lattice():
     s = sample_mode(DetectionMode(w0=1.5), g)
     rho = np.hypot(g.positions[:, 0], g.positions[:, 1])
     order = np.argsort(rho)
-    mags = np.abs(s.values)[order]
+    mags = np.abs(s.values[:, 0])[order]
     rho_sorted = rho[order]
     for i in range(len(mags) - 1):
         if rho_sorted[i + 1] - rho_sorted[i] > 1e-9:
@@ -255,4 +244,4 @@ def test_sample_csv_rows():
     rows = samples_to_rows(g, s)
     assert [r["site"] for r in rows] == [0, 1, 2, 3]
     assert rows[0]["x"] == pytest.approx(-0.3)
-    assert rows[0]["re_e"] == pytest.approx(float(s.values[0].real))
+    assert rows[0]["re_e"] == pytest.approx(float(s.values[0, 0].real))

@@ -21,7 +21,7 @@ from arraymem import (
 from arraymem.errors import InvalidArgumentError
 from arraymem.modes import _FIELD_CHUNK
 from arraymem.retrieval import efficiency_of_spin_wave
-from arraymem.greens import sector_basis
+from arraymem.greens import COMPONENTS, sector_basis
 from arraymem import studies
 from ode_oracle import ControlSchedule, evolve
 
@@ -31,15 +31,14 @@ MODELS = (TWO_LEVEL, ISOTROPIC)
 
 def sector_columns(n, model):
     half, rest = (n + 1) // 2, n // 2
-    if model == TWO_LEVEL:
-        return half * half
-    return half * half + rest * rest + rest * half
+    # x, y, z rows: even/even, odd/odd, odd/even functions of the sites
+    return sum((half * half, rest * rest, rest * half)[: COMPONENTS[model]])
 
 
 def assert_x_columns(basis, model):
     """The columns basis.x of q carry the x rows, as q_x, and no other
     column has weight on them."""
-    rows_x = basis.q if model == TWO_LEVEL else basis.q[0::3]
+    rows_x = basis.q[:: COMPONENTS[model]]
     x = np.zeros(basis.q.shape[1], dtype=bool)
     x[basis.x] = True
     assert np.array_equal(rows_x[:, x], basis.q_x)

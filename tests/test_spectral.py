@@ -64,7 +64,6 @@ def test_eigenvalues_invariant_under_relabeling():
     perm = rng.permutation(9)
     g2 = Geometry(
         positions=g.positions[perm],
-        dipole_orientations=g.dipole_orientations[perm],
         lattice_constant=0.6,
         linear_size=3,
         site_indices=g.site_indices[perm],
@@ -87,7 +86,7 @@ def test_defective_matrix_raises():
     # symmetric, eigenvalue 0 twice, rank 1: a genuine Jordan block whose
     # lone eigenvector (1, i) has vanishing bilinear norm
     m = InteractionMatrix(
-        entries=np.array([[1.0 + 0j, 1.0j], [1.0j, -1.0 + 0j]]), model=TWO_LEVEL,
+        entries=np.array([[1.0 + 0j, 1.0j], [1.0j, -1.0 + 0j]]),
         basis=whole_space(2, TWO_LEVEL),
     )
     with pytest.raises(DefectiveSpectrumError) as err:
@@ -106,7 +105,7 @@ def test_near_degenerate_pair_is_one_cluster(third):
     o = scipy.linalg.expm(a - a.T)  # complex orthogonal, o^T o = I
     entries = o @ np.diag([1 + 0.5j, 1 + 5e-10 + 0.5j, third]) @ o.T
     m = InteractionMatrix(
-        entries=0.5 * (entries + entries.T), model=TWO_LEVEL,
+        entries=0.5 * (entries + entries.T),
         basis=whole_space(3, TWO_LEVEL),
     )
     dec = eigendecompose(m)
@@ -116,7 +115,7 @@ def test_near_degenerate_pair_is_one_cluster(third):
 
 def test_asymmetric_matrix_rejected():
     m = InteractionMatrix(
-        entries=np.array([[0.5j, 0.1], [0.2, 0.5j]]), model=TWO_LEVEL,
+        entries=np.array([[0.5j, 0.1], [0.2, 0.5j]]),
         basis=whole_space(2, TWO_LEVEL),
     )
     with pytest.raises(InvalidArgumentError):
@@ -125,7 +124,7 @@ def test_asymmetric_matrix_rejected():
 
 def test_nonfinite_matrix_rejected():
     m = InteractionMatrix(
-        entries=np.array([[0.5j, np.inf], [np.inf, 0.5j]]), model=TWO_LEVEL,
+        entries=np.array([[0.5j, np.inf], [np.inf, 0.5j]]),
         basis=whole_space(2, TWO_LEVEL),
     )
     with pytest.raises(InvalidArgumentError):
