@@ -68,12 +68,6 @@ def _numpy_controls():
     return None
 
 
-def numpy_threads() -> int | None:
-    """Thread count of numpy's OpenBLAS, or None where it cannot be found."""
-    controls = _numpy_controls()
-    return controls[0]() if controls else None
-
-
 def set_numpy_threads(n: int) -> None:
     """Set the thread count of numpy's OpenBLAS, where it can be found."""
     controls = _numpy_controls()

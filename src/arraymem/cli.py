@@ -238,6 +238,10 @@ def _validate_config(config: dict) -> None:
         value = node[name]
         if not isinstance(value, s.types):
             raise ConfigError(f"config error at {s.key}: expected {s.types}, got {value!r}")
+        # json.load and float() accept Infinity and NaN, and infinity passes the range checks
+        entries = value if isinstance(value, list) else [value]
+        if any(isinstance(v, float) and not np.isfinite(v) for v in entries):
+            raise ConfigError(f"config error at {s.key}: numbers must be finite, got {value!r}")
         bool_as_number = isinstance(value, bool) and s.types is not bool
         if bool_as_number or (s.check is not None and not s.check(value)):
             raise ConfigError(f"config error at {s.key}: {s.message}")
@@ -405,7 +409,7 @@ def _cmd_finite_time(config: dict, args) -> int:
     td_grid = np.geomspace(0.1, sc["Td"], 25)
     rows = []
     for td in td_grid:
-        eta_td = eta_finite_time(res.dec, res.samples, spin, float(td))
+        eta_td = eta_finite_time(res.k, spin, float(td))
         rows.append({"Td": float(td), "eta_Td": eta_td,
                      "relative_error": 1.0 - eta_td / eta_inf})
     path = _write(config, "finite-time", gc["N"], {

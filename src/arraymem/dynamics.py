@@ -6,9 +6,14 @@ collected in a finite window [0, T] has a closed form through the pair
 integrals
 
     int_0^T exp(i (lambda_xi - lambda_xi'^*) t) dt
-        = i (1 - exp(i (lambda_xi - lambda_xi'^*) T)) / (lambda_xi - lambda_xi'^*),
+        = i (1 - d_xi d_xi'^*) / (lambda_xi - lambda_xi'^*),   d = exp(i lambda T).
 
-which recover the infinite-time K-matrix result as T -> infinity.
+The factor 1 - d d^H makes the window all time minus the tail: with W the
+mode Gram matrix of retrieval.k_matrix, a = V_x^T Q_x^T s and b = d * a,
+
+    eta_T(s) = p Re(a^T W a* - b^T W b*),
+
+which recovers the infinite-time K-matrix result as T -> infinity.
 """
 
 from __future__ import annotations
@@ -16,34 +21,16 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .modes import ModeSamples
-from .retrieval import (
-    _check_spin_wave,
-    _pair_kernel,
-    efficiency_prefactor,
-    mode_projections,
-)
-from .spectral import SpectralDecomposition
+from .retrieval import EfficiencyMatrix, _check_spin_wave
 
 
-def eta_finite_time(
-    dec: SpectralDecomposition,
-    samples: ModeSamples,
-    s0,
-    t_d: float,
-) -> float:
+def eta_finite_time(mat: EfficiencyMatrix, s0, t_d: float) -> float:
     """Efficiency collected in [0, T_d] after a pi-pulse, in closed form."""
-    if t_d <= 0:
-        raise InvalidArgumentError("detection window must be positive")
-    s0 = _check_spin_wave(s0, dec.basis.n_atoms)
-    proj = mode_projections(dec, samples)
+    if not 0 < t_d < np.inf:
+        raise InvalidArgumentError(f"detection window must be positive and finite, got {t_d!r}")
     # exact for any s0 in a sector too: what lies outside it never
     # reaches the beam
-    amp0 = dec.eigenvectors[dec.basis.x].T @ (dec.basis.q_x.T @ s0)
-    lam = dec.eigenvalues
-    kernel = _pair_kernel(lam)
-    decay = np.exp(1j * (lam[:, None] - lam.conj()[None, :]) * t_d)
-    window = kernel * (1.0 - decay)
-    c = proj * amp0
-    value = np.real(c @ (window @ c.conj()))
-    return float(efficiency_prefactor(samples) * value)
+    a = mat.vx.T @ (mat.basis.q_x.T @ _check_spin_wave(s0, mat.basis.n_atoms))
+    b = np.exp(1j * mat.eigenvalues * t_d) * a
+    value = np.real(a @ (mat.w @ a.conj()) - b @ (mat.w @ b.conj()))
+    return float(mat.prefactor * value)

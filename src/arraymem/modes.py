@@ -148,8 +148,8 @@ class DetectionMode:
     quadrature_tolerance: float = 1e-10
 
     def __post_init__(self):
-        if self.w0 is not None and self.w0 <= 0:
-            raise InvalidArgumentError(f"beam waist must be positive, got {self.w0!r}")
+        if self.w0 is not None and not 0 < self.w0 < np.inf:
+            raise InvalidArgumentError(f"beam waist must be positive and finite, got {self.w0!r}")
         _check_tolerance(self.quadrature_tolerance)
 
 
@@ -167,16 +167,20 @@ def _check_tolerance(tol):
         )
 
 
+def _field_vectors(m: DetectionMode, pos: np.ndarray, c: int) -> np.ndarray:
+    """The first c components of (E^x, 0, E^z) of the +z beam at each row
+    of pos, one quadrature batch."""
+    rho = np.hypot(pos[:, 0], pos[:, 1])
+    ex, g = _field_components(_waist(m), rho, pos[:, 2], m.quadrature_tolerance)
+    ez = np.zeros_like(ex)  # J1(0) = 0 on the axis
+    off_axis = rho != 0.0
+    ez[off_axis] = -1j * (pos[off_axis, 0] / rho[off_axis]) * g[off_axis]
+    return np.stack((ex, np.zeros_like(ex), ez)[:c], axis=1)
+
+
 def detection_field(m: DetectionMode, r) -> np.ndarray:
     """Complex field vector (E^x, 0, E^z) of the +z beam at a point."""
-    r = np.asarray(r, dtype=float)
-    rho = float(np.hypot(r[0], r[1]))
-    ex, g = _field_components(_waist(m), [rho], [r[2]], m.quadrature_tolerance)
-    if rho > 0.0:
-        ez = -1j * (r[0] / rho) * g[0]
-    else:
-        ez = 0.0 + 0.0j  # J1(0) = 0
-    return np.array([ex[0], 0.0 + 0.0j, ez])
+    return _field_vectors(m, np.asarray(r, dtype=float)[None], 3)[0]
 
 
 @functools.lru_cache(maxsize=256)
@@ -260,14 +264,8 @@ class ModeSamples:
 def sample_mode(m: DetectionMode, g: Geometry, model: str = TWO_LEVEL) -> ModeSamples:
     """Sample the +z beam at the atom positions, the model's c components."""
     c = _components(model)
-    pos = g.positions
-    rho = np.hypot(pos[:, 0], pos[:, 1])
-    ex, gz = _field_components(_waist(m), rho, pos[:, 2], m.quadrature_tolerance)
-    ez = np.zeros_like(ex)
-    on_axis = rho == 0.0
-    ez[~on_axis] = -1j * (pos[~on_axis, 0] / rho[~on_axis]) * gz[~on_axis]
     return ModeSamples(
-        values=np.stack((ex, np.zeros_like(ex), ez)[:c], axis=1),
+        values=_field_vectors(m, g.positions, c),
         f_flux=mode_flux_norm(m),
         w0=m.w0,
         two_sided=m.two_sided,

@@ -83,12 +83,18 @@ class EfficiencyMatrix:
     """Hermitian efficiency matrix plus its prefactor.
 
     k is over the x columns of the basis the eigensystem was solved in;
-    the K over the atoms is Q_x k Q_x^T.
+    the K over the atoms is Q_x k Q_x^T. k = vx w vx^H, with w the mode
+    Gram matrix i P_xi P_xi'* / (lambda_xi - lambda_xi'*), vx the x rows
+    of the eigenvectors and eigenvalues the lambda_xi (both views of the
+    decomposition); a finite window reads the last three.
     """
 
     k: np.ndarray
     prefactor: float
     basis: SectorBasis
+    w: np.ndarray
+    vx: np.ndarray
+    eigenvalues: np.ndarray
 
     def hermiticity_residual(self) -> float:
         return float(
@@ -108,14 +114,15 @@ class RetrievalSolution:
 def k_matrix(dec: SpectralDecomposition, samples: ModeSamples) -> EfficiencyMatrix:
     """Assemble K as two dense products over the mode basis."""
     proj = mode_projections(dec, samples)
-    kernel = _pair_kernel(dec.eigenvalues)
-    weighted = kernel * np.outer(proj, proj.conj())
+    w = _pair_kernel(dec.eigenvalues) * np.outer(proj, proj.conj())
     vx = dec.eigenvectors[dec.basis.x]
-    k = vx @ weighted @ vx.conj().T
     mat = EfficiencyMatrix(
-        k=k,
+        k=vx @ w @ vx.conj().T,
         prefactor=efficiency_prefactor(samples),
         basis=dec.basis,
+        w=w,
+        vx=vx,
+        eigenvalues=dec.eigenvalues,
     )
     res = mat.hermiticity_residual()
     if res >= HERMITICITY_RTOL:

@@ -5,7 +5,8 @@ bilinear eigenbasis, e_xi(t) = exp(i lambda_xi t) e_xi(0), or integrated
 directly as an ODE (an independent check of the same propagator).
 Piecewise-constant control segments always integrate the coupled [e; s]
 system. A trapezoid rule over the detected flux then checks
-`arraymem.dynamics.eta_finite_time`.
+`arraymem.dynamics.eta_finite_time`, and so does `eta_pair_window`, the
+same closed form summed pair by pair with its window factor.
 """
 
 from __future__ import annotations
@@ -18,7 +19,12 @@ from scipy.integrate import solve_ivp
 from arraymem.errors import InvalidArgumentError, NumericalError
 from arraymem.greens import InteractionMatrix
 from arraymem.modes import ModeSamples
-from arraymem.retrieval import _check_spin_wave, efficiency_prefactor
+from arraymem.retrieval import (
+    _check_spin_wave,
+    _pair_kernel,
+    efficiency_prefactor,
+    mode_projections,
+)
 from arraymem.spectral import SpectralDecomposition, eigendecompose
 
 PI_PULSE = "pi-pulse-at-zero"
@@ -209,6 +215,22 @@ def eta_from_trajectory(
     return float(
         efficiency_prefactor(samples) * np.trapezoid(flux, traj.times)
     )
+
+
+def eta_pair_window(
+    dec: SpectralDecomposition, samples: ModeSamples, s0, t_d: float
+) -> float:
+    """Efficiency collected in [0, t_d] as one sum over mode pairs, each
+    pair integral i (1 - exp(i (lambda - lambda'*) t_d)) / (lambda - lambda'*)
+    formed in full."""
+    s0 = _check_spin_wave(s0, dec.basis.n_atoms)
+    proj = mode_projections(dec, samples)
+    amp0 = dec.eigenvectors[dec.basis.x].T @ (dec.basis.q_x.T @ s0)
+    lam = dec.eigenvalues
+    decay = np.exp(1j * (lam[:, None] - lam.conj()[None, :]) * t_d)
+    window = _pair_kernel(lam) * (1.0 - decay)
+    c = proj * amp0
+    return float(efficiency_prefactor(samples) * np.real(c @ (window @ c.conj())))
 
 
 def trajectory_to_rows(samples: ModeSamples, traj: AmplitudeTrajectory) -> list:

@@ -155,7 +155,7 @@ def test_criterion_8_finite_detection(optima):
     g = build_square_array(10, 0.6)
     dec = eigendecompose(interaction_matrix(g))
     samples = sample_mode(DetectionMode(w0=opt.w0), g)
-    eta_td = eta_finite_time(dec, samples, opt.spin_wave, 10.0)
+    eta_td = eta_finite_time(k_matrix(dec, samples), opt.spin_wave, 10.0)
     rel = 1.0 - eta_td / opt.eta
     ok = rel <= 3e-3
     report(
@@ -200,7 +200,7 @@ def test_criterion_10_oracle_equivalence():
         dec = eigendecompose(m)
         samples = sample_mode(DetectionMode(w0=1.2), g)
         sol = max_efficiency(k_matrix(dec, samples))
-        eta_lim = eta_finite_time(dec, samples, sol.spin_wave, 1e3)
+        eta_lim = eta_finite_time(k_matrix(dec, samples), sol.spin_wave, 1e3)
         k_vs_time = abs(eta_lim - sol.eta_max)
         sched = ControlSchedule()
         t_sp = evolve(m, sol.spin_wave, sched, 20.0, n_steps=81, dec=dec)

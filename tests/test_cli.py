@@ -467,6 +467,32 @@ def test_nonpositive_workers_flag_is_a_config_error(tmp_path, capsys, workers):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["finite-time", "--w0", "1", "--Td", "inf"], "study.Td"),
+        (["efficiency", "--w0", "inf"], "mode.w0"),
+        (["disorder", "--w0", "1", "--sigma-list", "0.01,inf", "--samples", "1"],
+         "study.sigma_list"),
+    ],
+)
+def test_non_finite_flag_is_a_config_error(tmp_path, capsys, argv, key):
+    code, _, err = run(argv + ["--N", "3", "--out", str(tmp_path), "--no-timestamp"], capsys)
+    assert code == 2
+    assert f"config error at {key}: numbers must be finite" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_non_finite_config_value_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"mode": {"w0": Infinity}}')
+    out = tmp_path / "out"
+    code, _, err = run(["efficiency", "--N", "3", "--config", str(cfg), "--out", str(out)], capsys)
+    assert code == 2
+    assert "config error at mode.w0: numbers must be finite" in err
+    assert not out.exists()
+
+
 def test_disorder_one_sided_scores_against_the_one_sided_optimum(tmp_path, capsys):
     code, _, _ = run(
         ["disorder", "--N", "4", "--sigma-list", "1e-6", "--samples", "2", "--one-sided",

@@ -2,14 +2,19 @@ import numpy as np
 import pytest
 
 from arraymem import (
+    ISOTROPIC,
+    TWO_LEVEL,
     DetectionMode,
+    apply_position_disorder,
     build_square_array,
     eigendecompose,
     eta_finite_time,
     interaction_matrix,
     k_matrix,
     max_efficiency,
+    remove_holes,
     sample_mode,
+    studies,
 )
 from arraymem.errors import InvalidArgumentError
 from arraymem.retrieval import efficiency_of_spin_wave
@@ -17,9 +22,18 @@ from ode_oracle import (
     PIECEWISE,
     ControlSchedule,
     eta_from_trajectory,
+    eta_pair_window,
     evolve,
     trajectory_to_rows,
 )
+
+# (geometry, model): the sector solve, two whole-space solves, three components
+LATTICES = {
+    "perfect": (lambda: build_square_array(4, 0.6), TWO_LEVEL),
+    "holed": (lambda: remove_holes(build_square_array(4, 0.6), [3, 8]), TWO_LEVEL),
+    "disordered": (lambda: apply_position_disorder(build_square_array(4, 0.6), 0.02, 5), TWO_LEVEL),
+    "isotropic": (lambda: build_square_array(4, 0.6), ISOTROPIC),
+}
 
 
 @pytest.fixture(scope="module")
@@ -82,14 +96,35 @@ def test_norm_decay_spectral_vs_ode(array_3x3):
 
 def test_finite_time_limit_matches_k_matrix(array_3x3):
     _, _, dec, samples, sol = array_3x3
-    eta_lim = eta_finite_time(dec, samples, sol.spin_wave, 1e3)
+    eta_lim = eta_finite_time(k_matrix(dec, samples), sol.spin_wave, 1e3)
     assert abs(eta_lim - sol.eta_max) < 1e-9
+
+
+@pytest.fixture(scope="module", params=sorted(LATTICES))
+def solved(request):
+    build, model = LATTICES[request.param]
+    return studies.solve(build(), DetectionMode(w0=1.2), model)
+
+
+@pytest.mark.parametrize("t_d", [0.1, 1.0, 10.0, 1e3])
+@pytest.mark.parametrize("spin", ["optimal", "random"])
+def test_finite_time_matches_pair_window_oracle(solved, spin, t_d):
+    if spin == "optimal":
+        s = solved.solution.spin_wave
+    else:
+        n = solved.k.basis.n_atoms
+        rng = np.random.default_rng(n)
+        s = rng.normal(size=n) + 1j * rng.normal(size=n)
+        s /= np.linalg.norm(s)
+    eta = eta_finite_time(solved.k, s, t_d)
+    assert abs(eta - eta_pair_window(solved.dec, solved.samples, s, t_d)) <= 1e-13
 
 
 def test_finite_time_monotone_in_window(array_3x3):
     _, _, dec, samples, sol = array_3x3
     grid = np.geomspace(0.05, 50.0, 25)
-    vals = [eta_finite_time(dec, samples, sol.spin_wave, t) for t in grid]
+    mat = k_matrix(dec, samples)
+    vals = [eta_finite_time(mat, sol.spin_wave, t) for t in grid]
     assert np.all(np.diff(vals) >= -1e-12)
 
 
@@ -97,7 +132,7 @@ def test_closed_form_matches_trajectory_quadrature(array_3x3):
     _, m, dec, samples, sol = array_3x3
     t_d = 5.0
     traj = evolve(m, sol.spin_wave, ControlSchedule(), t_d, n_steps=5001, dec=dec)
-    eta_closed = eta_finite_time(dec, samples, sol.spin_wave, t_d)
+    eta_closed = eta_finite_time(k_matrix(dec, samples), sol.spin_wave, t_d)
     eta_trapz = eta_from_trajectory(samples, traj)
     assert abs(eta_closed - eta_trapz) < 1e-6
 
@@ -107,7 +142,7 @@ def test_detected_never_exceeds_emitted(array_3x3):
     for t_d in (0.5, 2.0, 10.0):
         traj = evolve(m, sol.spin_wave, ControlSchedule(), t_d, n_steps=41, dec=dec)
         emitted = 1.0 - traj.total_norm()[-1]
-        detected = eta_finite_time(dec, samples, sol.spin_wave, t_d)
+        detected = eta_finite_time(k_matrix(dec, samples), sol.spin_wave, t_d)
         assert detected <= emitted + 1e-8
 
 
@@ -120,7 +155,7 @@ def test_fast_control_pulse_approaches_pi_pulse(array_3x3):
     traj = evolve(m, sol.spin_wave, sched, t_end, n_steps=1201)
     eta_pulse = eta_from_trajectory(samples, traj)
     mat = k_matrix(dec, samples)
-    eta_ref = eta_finite_time(dec, samples, sol.spin_wave, t_end)
+    eta_ref = eta_finite_time(mat, sol.spin_wave, t_end)
     # instantaneous-readout limit: fast pulse reproduces the pi-pulse value
     assert eta_pulse == pytest.approx(eta_ref, rel=0.01)
     assert eta_pulse <= efficiency_of_spin_wave(mat, sol.spin_wave) + 1e-9
@@ -153,8 +188,10 @@ def test_evolve_argument_validation(array_3x3):
 
 def test_finite_time_requires_positive_window(array_3x3):
     _, _, dec, samples, sol = array_3x3
-    with pytest.raises(InvalidArgumentError):
-        eta_finite_time(dec, samples, sol.spin_wave, 0.0)
+    mat = k_matrix(dec, samples)
+    for t_d in (0.0, np.nan, np.inf):
+        with pytest.raises(InvalidArgumentError):
+            eta_finite_time(mat, sol.spin_wave, t_d)
 
 
 def test_trajectory_csv_rows(array_3x3):
@@ -168,5 +205,5 @@ def test_trajectory_csv_rows(array_3x3):
     # flux integrates to the finite-window efficiency
     t = np.array([r["t"] for r in rows])
     f = np.array([r["detected_flux"] for r in rows])
-    eta_ref = eta_finite_time(dec, samples, sol.spin_wave, 2.0)
+    eta_ref = eta_finite_time(k_matrix(dec, samples), sol.spin_wave, 2.0)
     assert np.trapezoid(f, t) == pytest.approx(eta_ref, rel=5e-3)

@@ -65,6 +65,9 @@ def test_waist_and_tolerance_validation():
         DetectionMode(w0=1.0, quadrature_tolerance=0.0)
     with pytest.raises(InvalidArgumentError):
         DetectionMode(w0=1.0, quadrature_tolerance=1e-5)
+    for w0 in (np.inf, np.nan):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            DetectionMode(w0=w0)
 
 
 def test_a_beam_without_a_waist_cannot_be_sampled():

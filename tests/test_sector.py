@@ -85,8 +85,8 @@ def test_sector_matches_dense(n, model):
     spin = dense.solution.spin_wave
     assert np.max(np.abs(sector.solution.spin_wave - spin)) <= 1e-9
     for t_d in (0.3, 2.0, 10.0):
-        eta_s = eta_finite_time(sector.dec, sector.samples, spin, t_d)
-        eta_d = eta_finite_time(dense.dec, dense.samples, spin, t_d)
+        eta_s = eta_finite_time(sector.k, spin, t_d)
+        eta_d = eta_finite_time(dense.k, spin, t_d)
         assert abs(eta_s - eta_d) <= 1e-12
     # exact for spin waves outside the sector too
     rng = np.random.default_rng(n)
@@ -96,8 +96,8 @@ def test_sector_matches_dense(n, model):
         efficiency_of_spin_wave(sector.k, s) - efficiency_of_spin_wave(dense.k, s)
     ) <= 1e-12
     assert abs(
-        eta_finite_time(sector.dec, sector.samples, s, 2.0)
-        - eta_finite_time(dense.dec, dense.samples, s, 2.0)
+        eta_finite_time(sector.k, s, 2.0)
+        - eta_finite_time(dense.k, s, 2.0)
     ) <= 1e-12
 
 

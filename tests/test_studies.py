@@ -263,8 +263,10 @@ def test_disorder_parallel_matches_serial():
     assert serial.summary == parallel.summary
 
 
-def _numpy_threads_task(_):
-    return blas.numpy_threads()
+def _numpy_threads(_=None):
+    """Thread count of numpy's OpenBLAS, or None where it cannot be found."""
+    controls = blas._numpy_controls()
+    return controls[0]() if controls else None
 
 
 def _failing_task(_):
@@ -273,13 +275,13 @@ def _failing_task(_):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_run_tasks_pins_numpy_blas_and_restores_it(workers):
-    before = blas.numpy_threads()
-    inside = studies._run_tasks(_numpy_threads_task, [0, 1, 2], workers)
+    before = _numpy_threads()
+    inside = studies._run_tasks(_numpy_threads, [0, 1, 2], workers)
     assert inside == [None if before is None else 1] * 3
-    assert blas.numpy_threads() == before
+    assert _numpy_threads() == before
     with pytest.raises(ValueError, match="task failed"):
         studies._run_tasks(_failing_task, [0, 1], workers)
-    assert blas.numpy_threads() == before
+    assert _numpy_threads() == before
 
 
 def test_default_workers_fit_free_cores(monkeypatch):
