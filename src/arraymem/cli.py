@@ -305,7 +305,7 @@ def _workers(config: dict) -> int:
     return config["workers"] or studies.default_workers()
 
 
-def _write(config: dict, command: str, n: int, body: dict, fields=None, rows=None) -> Path:
+def _write(config: dict, command: str, n: int, body: dict, rows=None) -> Path:
     """Write a run's JSON summary, and its CSV table when rows are given.
 
     The summary records the settings the command takes. Returns the path
@@ -317,7 +317,7 @@ def _write(config: dict, command: str, n: int, body: dict, fields=None, rows=Non
     summary = out / f"{stem}.json"
     table = None if rows is None else summary.with_suffix(".csv")
     if table:
-        studies.write_csv(table, fields, rows)
+        studies.write_csv(table, rows)
         body = {**body, "csv": table.name}
     taken: dict = {}
     for s in _SETTINGS:
@@ -338,7 +338,7 @@ def _cmd_efficiency(config: dict, args) -> int:
     path = _write(config, "efficiency", gc["N"], {"solution": sol_doc})
     if args.dump_samples:
         studies.write_csv(path.with_name(f"{path.stem}_samples.csv"),
-                          ["site", "x", "y", "re_e", "im_e"], samples_to_rows(g, res.samples))
+                          samples_to_rows(g, res.samples))
     print(f"eta={res.eta:.9f} eps={1.0 - res.eta:.3e} w0={w0:g} -> {path}")
     return 0
 
@@ -355,7 +355,7 @@ def _cmd_scan_waist(config: dict, args) -> int:
     except FitWindowError:
         fit_doc, fit_note = None, "C=n/a (no clipping-free window)"
     path = _write(config, "scan-waist", gc["N"], {"fit": fit_doc, "provenance": scan.provenance},
-                  ["w0", "eta", "epsilon", "clip_term", "spectral_gap"], scan.rows)
+                  scan.rows)
     best = int(np.argmin(scan.epsilon))
     print(f"min eps={scan.epsilon[best]:.3e} at w0={scan.axis[best]:g} {fit_note} -> {path}")
     return 0
@@ -381,7 +381,7 @@ def _cmd_holes(config: dict, args) -> int:
     path = _write(config, "holes", gc["N"], {
         "alpha": hs.alpha.parameters["alpha"], "alpha_stderr": hs.alpha.stderr["alpha"],
         "eta_perfect": hs.eta_perfect, "provenance": hs.provenance,
-    }, ["n_holes", "sample", "holes", "intensity_fraction", "eta_def", "rel_loss"], hs.rows)
+    }, hs.rows)
     print(f"alpha={hs.alpha.parameters['alpha']:.4f} (+/- {hs.alpha.stderr['alpha']:.4f}) -> {path}")
     return 0
 
@@ -397,7 +397,7 @@ def _cmd_disorder(config: dict, args) -> int:
     slope = studies.loglog_slope(sigmas, losses) if len(sigmas) > 1 else float("nan")
     path = _write(config, "disorder", gc["N"], {
         "summary": ds.summary, "loglog_slope": slope, "provenance": ds.provenance,
-    }, ["sigma", "sample", "seed", "eta_dis"], ds.rows)
+    }, ds.rows)
     print(f"slope(log loss vs log sigma)={slope:.3f} -> {path}")
     return 0
 
@@ -409,12 +409,12 @@ def _cmd_finite_time(config: dict, args) -> int:
     td_grid = np.geomspace(0.1, sc["Td"], 25)
     rows = []
     for td in td_grid:
-        eta_td = eta_finite_time(res.k, spin, float(td))
+        eta_td = eta_finite_time(res, spin, float(td))
         rows.append({"Td": float(td), "eta_Td": eta_td,
                      "relative_error": 1.0 - eta_td / eta_inf})
     path = _write(config, "finite-time", gc["N"], {
         "w0": res.samples.w0, "eta_infinite": eta_inf, "final": rows[-1],
-    }, ["Td", "eta_Td", "relative_error"], rows)
+    }, rows)
     print(f"1 - eta_Td/eta = {rows[-1]['relative_error']:.3e} at Td={sc['Td']:g} -> {path}")
     return 0
 
@@ -422,9 +422,7 @@ def _cmd_finite_time(config: dict, args) -> int:
 def _cmd_isotropic(config: dict, args) -> int:
     sc = config["study"]
     rows = studies.isotropic_comparison(sc["N_list"], config["geometry"]["d"], _mode(config))
-    path = _write(config, "isotropic", max(sc["N_list"]), {"rows": rows}, [
-        "N", "eps_two_level", "eps_isotropic", "relative_increase", "w0_two_level", "w0_isotropic",
-    ], rows)
+    path = _write(config, "isotropic", max(sc["N_list"]), {"rows": rows}, rows)
     rels = ", ".join(f"N={r['N']}: +{100 * r['relative_increase']:.0f}%" for r in rows)
     print(f"isotropic error increase {rels} -> {path}")
     return 0
@@ -450,7 +448,7 @@ def _cmd_validate(config: dict, args) -> int:
         checks.append((f"bilinear orthogonality ({label})", res.dec.bilinear_condition, 1e-8))
         checks.append((f"completeness ({label})", res.dec.completeness_residual, 1e-8))
         checks.append((f"reconstruction ({label})", reconstruction_residual(m, res.dec), 1e-9))
-        checks.append((f"K Hermiticity ({label})", res.k.hermiticity_residual(), 1e-10))
+        checks.append((f"K Hermiticity ({label})", res.hermiticity_residual(), 1e-10))
         checks.append((
             f"eta bound ({label})", res.solution.diagnostics["eta_bound_violation"], 1e-9
         ))

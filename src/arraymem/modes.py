@@ -201,18 +201,22 @@ def _radial_norm_integral(w0: float, flux_weighted: bool) -> float:
             integrand = integrand / c
         return float(w @ integrand)
 
-    n = 1
-    prev = value(n)
-    while n < _NORM_MAX_PANELS:
+    n, cur, converged = 1, value(1), False
+    while n < _NORM_MAX_PANELS and not converged:
         n *= 2
-        cur = value(n)
-        if abs(cur - prev) <= 1e-12 * abs(cur):
-            return cur
-        prev = cur
-    # Only reachable for the surface norm at small waist: its grazing-wave
+        prev, cur = cur, value(n)
+        converged = abs(cur - prev) <= 1e-12 * abs(cur)
+    # The surface norm at small waist reaches the cap: its grazing-wave
     # tail carries weight exp(-k0^2 w0^2 / 2) and creeps logarithmically
-    # with refinement; accept the capped value.
-    return prev
+    # with refinement; accept the capped value. The flux norm reaches it,
+    # or underflows to zero, only for a beam too wide to resolve.
+    if flux_weighted and not (converged and cur > 0.0):
+        raise NumericalError(
+            f"flux norm of a beam of waist {w0:g} not resolved ({cur:.3g} "
+            f"with {n * _PANEL_ORDER} nodes): the beam is too wide",
+            achieved=abs(cur - prev) / cur if cur > 0.0 else np.inf,
+        )
+    return cur
 
 
 def mode_norm(m: DetectionMode) -> float:

@@ -29,12 +29,12 @@ Q_x = I.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalError, SingularPairError
-from .greens import SectorBasis
 from .modes import ModeSamples
 from .spectral import SpectralDecomposition
 
@@ -80,26 +80,33 @@ def efficiency_prefactor(samples: ModeSamples) -> float:
 
 @dataclass(frozen=True)
 class EfficiencyMatrix:
-    """Hermitian efficiency matrix plus its prefactor.
+    """One configuration solved: the eigensystem dec of M, the beam
+    samples at the atoms, and the efficiency matrix with its prefactor.
 
-    k is over the x columns of the basis the eigensystem was solved in;
-    the K over the atoms is Q_x k Q_x^T. k = vx w vx^H, with w the mode
-    Gram matrix i P_xi P_xi'* / (lambda_xi - lambda_xi'*), vx the x rows
-    of the eigenvectors and eigenvalues the lambda_xi (both views of the
-    decomposition); a finite window reads the last three.
+    k is over the x columns of dec.basis; the K over the atoms is
+    Q_x k Q_x^T. k = V_x w V_x^H, with w the mode Gram matrix
+    i P_xi P_xi'* / (lambda_xi - lambda_xi'*) and V_x the x rows of the
+    eigenvectors; a fixed spin wave is scored through w alone.
     """
 
+    dec: SpectralDecomposition
+    samples: ModeSamples
     k: np.ndarray
-    prefactor: float
-    basis: SectorBasis
     w: np.ndarray
-    vx: np.ndarray
-    eigenvalues: np.ndarray
+    prefactor: float
 
     def hermiticity_residual(self) -> float:
-        return float(
-            np.max(np.abs(self.k - self.k.conj().T)) / np.max(np.abs(self.k))
-        )
+        return float(np.max(np.abs(self.k - self.k.conj().T)) / np.max(np.abs(self.k)))
+
+    @functools.cached_property
+    def solution(self) -> RetrievalSolution:
+        """Top eigenpair of K, computed on first use: a study that scores
+        a fixed spin wave never needs it."""
+        return max_efficiency(self)
+
+    @property
+    def eta(self) -> float:
+        return self.solution.eta_max
 
 
 @dataclass(frozen=True)
@@ -117,12 +124,11 @@ def k_matrix(dec: SpectralDecomposition, samples: ModeSamples) -> EfficiencyMatr
     w = _pair_kernel(dec.eigenvalues) * np.outer(proj, proj.conj())
     vx = dec.eigenvectors[dec.basis.x]
     mat = EfficiencyMatrix(
+        dec=dec,
+        samples=samples,
         k=vx @ w @ vx.conj().T,
-        prefactor=efficiency_prefactor(samples),
-        basis=dec.basis,
         w=w,
-        vx=vx,
-        eigenvalues=dec.eigenvalues,
+        prefactor=efficiency_prefactor(samples),
     )
     res = mat.hermiticity_residual()
     if res >= HERMITICITY_RTOL:
@@ -145,8 +151,9 @@ def max_efficiency(mat: EfficiencyMatrix) -> RetrievalSolution:
     evals, evecs = np.linalg.eigh(mat.k)
     # the K over the atoms has the same spectrum plus zeros for the
     # atom-space directions outside the basis
-    top_vec = mat.basis.q_x @ evecs[:, -1]
-    evals = np.sort(np.concatenate([evals, np.zeros(mat.basis.n_atoms - len(evals))]))
+    basis = mat.dec.basis
+    top_vec = basis.q_x @ evecs[:, -1]
+    evals = np.sort(np.concatenate([evals, np.zeros(basis.n_atoms - len(evals))]))
     top = evals[-1]
     eta = float(mat.prefactor * top)
     gap = float(top - evals[-2]) if len(evals) > 1 else np.inf
@@ -180,10 +187,19 @@ def _check_spin_wave(s, n_atoms: int) -> np.ndarray:
     return s
 
 
+def mode_amplitudes(mat: EfficiencyMatrix, s) -> np.ndarray:
+    """a = V_x^T Q_x^T s, the modes that a unit spin wave s over the atoms
+    excites; what lies outside the basis never reaches the beam."""
+    basis = mat.dec.basis
+    s = _check_spin_wave(s, basis.n_atoms)
+    return mat.dec.eigenvectors[basis.x].T @ (basis.q_x.T @ s)
+
+
 def efficiency_of_spin_wave(mat: EfficiencyMatrix, s) -> float:
-    """eta for a given normalized initial spin wave (no silent rescaling)."""
-    s = mat.basis.q_x.T @ _check_spin_wave(s, mat.basis.n_atoms)
-    return float(mat.prefactor * np.real(s @ (mat.k @ s.conj())))
+    """eta = p Re(a^T W a*) for a given normalized initial spin wave (no
+    silent rescaling): the all-time detection window."""
+    a = mode_amplitudes(mat, s)
+    return float(mat.prefactor * np.real(a @ (mat.w @ a.conj())))
 
 
 def solution_to_dict(

@@ -21,7 +21,6 @@ are given; the desk-scale cap on N belongs to the command line.
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import os
 import time
@@ -36,15 +35,9 @@ from . import blas
 from .errors import FitWindowError, InvalidArgumentError
 from .geometry import apply_position_disorder, build_square_array, remove_holes
 from .greens import ISOTROPIC, TWO_LEVEL, interaction_matrix, sector_basis
-from .modes import DetectionMode, ModeSamples, sample_mode
-from .retrieval import (
-    EfficiencyMatrix,
-    RetrievalSolution,
-    efficiency_of_spin_wave,
-    k_matrix,
-    max_efficiency,
-)
-from .spectral import SpectralDecomposition, eigendecompose
+from .modes import DetectionMode, sample_mode
+from .retrieval import EfficiencyMatrix, efficiency_of_spin_wave, k_matrix
+from .spectral import eigendecompose
 
 DEFAULT_C_SEED = 2.4e-3
 DEFAULT_SEED = 12345
@@ -90,36 +83,17 @@ def model_error(n: int, d: float, w0, c: float = DEFAULT_C_SEED) -> np.ndarray:
     return c / w0**4 + clipping_error(n, d, w0)
 
 
-@dataclass(frozen=True)
-class Result:
-    """One configuration solved: the eigensystem of M, the beam at the
-    atoms, the efficiency matrix K and its top eigenpair."""
-
-    dec: SpectralDecomposition
-    samples: ModeSamples
-    k: EfficiencyMatrix
-
-    @functools.cached_property
-    def solution(self) -> RetrievalSolution:
-        """Top eigenpair of K, computed on first use: a study that scores
-        a fixed spin wave against K never needs it."""
-        return max_efficiency(self.k)
-
-    @property
-    def eta(self) -> float:
-        return self.solution.eta_max
-
-
 def solve(
     g, mode: DetectionMode | None, model: str = TWO_LEVEL, dec=None, samples=None
-) -> Result:
-    """eta_max = p lambda_max(K) for one geometry and detection mode.
+) -> EfficiencyMatrix:
+    """The efficiency matrix of one geometry and detection mode, whose
+    eta = p lambda_max(K) is computed on first use.
 
     A perfect lattice is solved in the mirror sector of the beam, any
-    other geometry in the whole space (greens.sector_basis). A given dec (one eigensystem shared by every
-    waist of a geometry) or samples (the beam sliced from a parent
-    lattice) is used as it is; with samples given, mode is not read.
-    The samples cover every atom either way.
+    other geometry in the whole space (greens.sector_basis). A given dec
+    (one eigensystem shared by every waist of a geometry) or samples (the
+    beam sliced from a parent lattice) is used as it is; with samples
+    given, mode is not read. The samples cover every atom either way.
 
     A beam without a waist is solved at its best waist: the result is
     optimal_waist(g, mode, model).result, whose samples record the waist.
@@ -133,7 +107,7 @@ def solve(
         dec = eigendecompose(replace(m, basis=sector_basis(g, model)))
     if samples is None:
         samples = sample_mode(mode, g, model)
-    return Result(dec=dec, samples=samples, k=k_matrix(dec, samples))
+    return k_matrix(dec, samples)
 
 
 def scan_waist(g, mode: DetectionMode, w0_list, model: str = TWO_LEVEL) -> ScanResult:
@@ -226,7 +200,7 @@ def loglog_slope(x, y) -> float:
 class OptimalWaist:
     """The best configuration the waist search solved, and how it got there."""
 
-    result: Result = field(repr=False)
+    result: EfficiencyMatrix = field(repr=False)
     n_evaluations: int
     bracket_fallback: bool
 
@@ -447,7 +421,7 @@ def hole_study(
 def _disorder_task(args):
     n, d, mode, sigma, sub_seed, spin_wave = args
     g = apply_position_disorder(build_square_array(n, d), sigma, sub_seed)
-    return efficiency_of_spin_wave(solve(g, mode).k, np.asarray(spin_wave))
+    return efficiency_of_spin_wave(solve(g, mode), np.asarray(spin_wave))
 
 
 @dataclass
@@ -563,33 +537,38 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path, fieldnames, rows) -> None:
+def write_csv(path, rows) -> None:
     """Plain CSV with shortest round-trip float formatting.
 
-    Rows are written in a deterministic order and contain no timestamps,
-    so identical (config, seed) runs produce identical bytes.
+    The header is the first row's keys, in order. Rows are written in a
+    deterministic order and contain no timestamps, so identical
+    (config, seed) runs produce identical bytes.
     """
+    header = list(rows[0])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(fieldnames)
+        writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt(row[k]) for k in fieldnames])
+            writer.writerow([_fmt(row[k]) for k in header])
 
 
 def write_summary(path, payload: dict) -> None:
+    """Strict JSON (RFC 8259): every non-finite float is written as null."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(_plain(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+def _plain(obj):
+    """obj with numpy arrays as lists, numpy scalars as Python values and
+    non-finite floats as None."""
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    return None if isinstance(obj, float) and not np.isfinite(obj) else obj
 
 
 def artifact_stem(study: str, n: int, d: float, timestamp: bool = True) -> str:

@@ -527,3 +527,34 @@ def test_optimal_waist_solves_the_configured_geometry(tmp_path, capsys, geometry
     opt = json.loads((tmp_path / "optimal-waist_4_0.6.json").read_text())
     eff = json.loads((tmp_path / "efficiency_4_0.6.json").read_text())["solution"]
     assert (opt["w0_opt"], opt["epsilon_opt"]) == (eff["w0"], eff["epsilon"])
+
+
+@pytest.mark.parametrize("w0", ["1e3", "1e5"])
+def test_a_beam_too_wide_to_resolve_is_a_numerical_failure(tmp_path, capsys, w0):
+    # at w0 = 1e3 the flux norm stops at its panel cap and the field at the
+    # atoms comes out 1,500 times too small; at 1e5 the norm underflows to 0
+    code, out, err = run(
+        ["efficiency", "--N", "3", "--w0", w0, "--out", str(tmp_path), "--no-timestamp"], capsys
+    )
+    assert code == 1
+    assert err.startswith("numerical failure:") and "Traceback" not in err
+    assert "eta=" not in out
+
+
+@pytest.mark.parametrize(
+    "argv, stem, key",
+    [
+        (["efficiency", "--N", "1", "--w0", "1"], "efficiency_1_0.6", "spectral_gap"),
+        (["disorder", "--N", "3", "--w0", "1", "--sigma-list", "0.01", "--samples", "2"],
+         "disorder_3_0.6", "loglog_slope"),
+    ],
+    ids=["single-atom-gap", "single-sigma-slope"],
+)
+def test_summaries_are_strict_json(tmp_path, capsys, argv, stem, key):
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    assert run([*argv, "--out", str(tmp_path), "--no-timestamp"], capsys)[0] == 0
+    doc = json.loads((tmp_path / f"{stem}.json").read_text(), parse_constant=refuse)
+    found = doc["solution"]["diagnostics"] if "solution" in doc else doc
+    assert found[key] is None  # infinite gap of a single atom, slope of a single sigma

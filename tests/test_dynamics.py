@@ -112,11 +112,11 @@ def test_finite_time_matches_pair_window_oracle(solved, spin, t_d):
     if spin == "optimal":
         s = solved.solution.spin_wave
     else:
-        n = solved.k.basis.n_atoms
+        n = solved.dec.basis.n_atoms
         rng = np.random.default_rng(n)
         s = rng.normal(size=n) + 1j * rng.normal(size=n)
         s /= np.linalg.norm(s)
-    eta = eta_finite_time(solved.k, s, t_d)
+    eta = eta_finite_time(solved, s, t_d)
     assert abs(eta - eta_pair_window(solved.dec, solved.samples, s, t_d)) <= 1e-13
 
 

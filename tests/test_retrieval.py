@@ -222,5 +222,14 @@ def test_k_matrix_is_the_controllability_gramian(geometry, model):
     gramian = scipy.linalg.solve_continuous_lyapunov(1j * m, -np.outer(b, b.conj()))
     x = slice(None, None, COMPONENTS[model])
     q_x = res.dec.basis.q_x
-    k = q_x @ res.k.k @ q_x.T
+    k = q_x @ res.k @ q_x.T
     assert np.max(np.abs(k - gramian[x, x])) <= 1e-10 * np.max(np.abs(k))
+    # a fixed spin wave is scored through the mode Gram matrix; the quadratic
+    # form of K itself, p Re(u^T K u*) with u = Q_x^T s, is its oracle
+    n = q_x.shape[0]
+    rng = np.random.default_rng(n)
+    s = rng.normal(size=n) + 1j * rng.normal(size=n)
+    for spin in (res.solution.spin_wave, s / np.linalg.norm(s)):
+        u = q_x.T @ spin
+        oracle = res.prefactor * np.real(u @ (res.k @ u.conj()))
+        assert abs(efficiency_of_spin_wave(res, spin) - oracle) <= 1e-13

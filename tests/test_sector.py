@@ -85,19 +85,19 @@ def test_sector_matches_dense(n, model):
     spin = dense.solution.spin_wave
     assert np.max(np.abs(sector.solution.spin_wave - spin)) <= 1e-9
     for t_d in (0.3, 2.0, 10.0):
-        eta_s = eta_finite_time(sector.k, spin, t_d)
-        eta_d = eta_finite_time(dense.k, spin, t_d)
+        eta_s = eta_finite_time(sector, spin, t_d)
+        eta_d = eta_finite_time(dense, spin, t_d)
         assert abs(eta_s - eta_d) <= 1e-12
     # exact for spin waves outside the sector too
     rng = np.random.default_rng(n)
     s = rng.normal(size=n * n) + 1j * rng.normal(size=n * n)
     s /= np.linalg.norm(s)
     assert abs(
-        efficiency_of_spin_wave(sector.k, s) - efficiency_of_spin_wave(dense.k, s)
+        efficiency_of_spin_wave(sector, s) - efficiency_of_spin_wave(dense, s)
     ) <= 1e-12
     assert abs(
-        eta_finite_time(sector.k, s, 2.0)
-        - eta_finite_time(dense.k, s, 2.0)
+        eta_finite_time(sector, s, 2.0)
+        - eta_finite_time(dense, s, 2.0)
     ) <= 1e-12
 
 
