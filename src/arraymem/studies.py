@@ -32,7 +32,7 @@ from scipy.special import erf
 
 from . import __version__ as _version
 from . import blas
-from .errors import FitWindowError, InvalidArgumentError
+from .errors import FitWindowError, InvalidArgumentError, NumericalError
 from .geometry import apply_position_disorder, build_square_array, remove_holes
 from .greens import ISOTROPIC, TWO_LEVEL, interaction_matrix, sector_basis
 from .modes import DetectionMode, sample_mode
@@ -229,7 +229,8 @@ def _model_seed_waist(n: int, d: float, c: float = DEFAULT_C_SEED) -> float:
 
 def optimal_waist(g, mode: DetectionMode, model: str = TWO_LEVEL) -> OptimalWaist:
     """Golden-section minimization of eps(w0) over the waist of the beam
-    mode on geometry g, seeded by the error model of g's parent lattice."""
+    mode on geometry g, seeded by the error model of g's parent lattice.
+    A beam too wide to resolve scores eps = 1; no resolved waist fails."""
     if g.linear_size < 2:
         raise InvalidArgumentError("waist optimization needs N >= 2")
     evaluations = {}
@@ -239,7 +240,12 @@ def optimal_waist(g, mode: DetectionMode, model: str = TWO_LEVEL) -> OptimalWais
         nonlocal best
         w0 = round(float(w0), 12)
         if w0 not in evaluations:
-            res = solve(g, replace(mode, w0=w0), model, dec=best.dec if best else None)
+            try:
+                samples = sample_mode(replace(mode, w0=w0), g, model)
+            except NumericalError:  # a beam too wide to resolve
+                evaluations[w0] = 1.0
+                return 1.0
+            res = solve(g, None, model, dec=best.dec if best else None, samples=samples)
             evaluations[w0] = 1.0 - res.eta
             if best is None or evaluations[w0] < 1.0 - best.eta:
                 best = res
@@ -282,6 +288,8 @@ def optimal_waist(g, mode: DetectionMode, model: str = TWO_LEVEL) -> OptimalWais
                 lo, x1, f1 = x1, x2, f2
                 x2 = lo + invphi * (hi - lo)
                 f2 = eps_of(x2)
+    if best is None:
+        raise NumericalError(f"no waist searched on [{a:g}, {b:g}] could be resolved")
     return OptimalWaist(
         result=best, n_evaluations=len(evaluations), bracket_fallback=fallback
     )
@@ -460,36 +468,21 @@ def position_disorder_study(
     for i, sigma in enumerate(sigma_list):
         for k in range(n_samples):
             tasks.append((n, d, mode, sigma, int(sub_seeds[i, k]), spin))
-    etas = _run_tasks(_disorder_task, tasks, workers)
-
-    rows = []
-    summary = []
-    idx = 0
-    for i, sigma in enumerate(sigma_list):
-        vals = []
-        for k in range(n_samples):
-            eta_dis = etas[idx]
-            rows.append(
-                {
-                    "sigma": sigma,
-                    "sample": k,
-                    "seed": int(sub_seeds[i, k]),
-                    "eta_dis": eta_dis,
-                }
-            )
-            vals.append(eta_dis)
-            idx += 1
-        vals = np.asarray(vals)
-        summary.append(
-            {
-                "sigma": sigma,
-                "eta_mean": float(vals.mean()),
-                "eta_stderr": float(vals.std(ddof=1) / np.sqrt(len(vals)))
-                if len(vals) > 1
-                else 0.0,
-                "loss_mean": float(eta0 - vals.mean()),
-            }
-        )
+    etas = np.reshape(_run_tasks(_disorder_task, tasks, workers), (len(sigma_list), n_samples))
+    rows = [
+        {"sigma": sigma, "sample": k, "seed": int(sub_seeds[i, k]), "eta_dis": float(etas[i, k])}
+        for i, sigma in enumerate(sigma_list)
+        for k in range(n_samples)
+    ]
+    summary = [
+        {
+            "sigma": sigma,
+            "eta_mean": float(vals.mean()),
+            "eta_stderr": float(vals.std(ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0,
+            "loss_mean": float(eta0 - vals.mean()),
+        }
+        for sigma, vals in zip(sigma_list, etas)
+    ]
     return DisorderStudy(
         rows=rows,
         summary=summary,
@@ -544,6 +537,8 @@ def write_csv(path, rows) -> None:
     deterministic order and contain no timestamps, so identical
     (config, seed) runs produce identical bytes.
     """
+    if not rows or any(list(row) != list(rows[0]) for row in rows):
+        raise InvalidArgumentError("CSV rows must exist and share the first row's keys")
     header = list(rows[0])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

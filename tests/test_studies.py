@@ -16,7 +16,7 @@ from arraymem import (
     remove_holes,
     sample_mode,
 )
-from arraymem.errors import FitWindowError, InvalidArgumentError
+from arraymem.errors import FitWindowError, InvalidArgumentError, NumericalError
 from arraymem.retrieval import efficiency_of_spin_wave
 from arraymem import blas, retrieval, studies
 
@@ -111,13 +111,19 @@ def test_optimal_waist_four_by_four():
 
 
 def test_optimal_waist_fallback_keeps_the_best_result(monkeypatch):
-    # a seed far above the optimum leaves no bracket, so the grid scan runs;
-    # every waist it tries (up to 140) is narrow enough to resolve
-    monkeypatch.setattr(studies, "_model_seed_waist", lambda n, d: 100.0)
+    # a seed far above the optimum leaves no bracket, so the grid scan runs
+    monkeypatch.setattr(studies, "_model_seed_waist", lambda n, d: 1000.0)
     opt = studies.optimal_waist(build_square_array(3, 0.6), BEAM)
     assert opt.bracket_fallback
     fresh = studies.solve(build_square_array(3, 0.6), DetectionMode(w0=opt.w0))
     assert opt.eta == fresh.eta
+
+
+def test_optimal_waist_fails_when_no_waist_resolves(monkeypatch):
+    # every waist the search tries is too wide for the flux norm
+    monkeypatch.setattr(studies, "_model_seed_waist", lambda n, d: 1e6)
+    with pytest.raises(NumericalError, match="could be resolved"):
+        studies.optimal_waist(build_square_array(3, 0.6), BEAM)
 
 
 @pytest.mark.parametrize(
@@ -336,6 +342,15 @@ def test_csv_bytes_are_deterministic(tmp_path):
     with open(p1) as fh:
         rows = list(csv.DictReader(fh))
     assert float(rows[0]["eta_dis"]) == ds.rows[0]["eta_dis"]
+
+
+@pytest.mark.parametrize(
+    "rows", [[], [{"a": 1, "b": 2}, {"a": 3}], [{"a": 1}, {"a": 2, "b": 3}]],
+    ids=["no-rows", "missing-key", "extra-key"],
+)
+def test_csv_rows_must_match_the_header(tmp_path, rows):
+    with pytest.raises(InvalidArgumentError):
+        studies.write_csv(tmp_path / "t.csv", rows)
 
 
 def test_summary_json_is_readable(tmp_path):
