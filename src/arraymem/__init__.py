@@ -4,6 +4,9 @@ Pipeline: build a geometry, assemble the photon-exchange matrix, sample
 the detection mode at the atoms, eigendecompose in the basis the matrix
 carries (the whole space unless a mirror sector is given), assemble the
 Hermitian efficiency matrix, and read off the top eigenpair.
+
+Importing the package runs numpy's OpenBLAS on one thread for the whole
+process (arraymem.blas), the caller's own numpy work included.
 """
 
 from .geometry import (
@@ -36,6 +39,9 @@ from .retrieval import (
     max_efficiency,
 )
 from .dynamics import eta_finite_time
+from . import blas
+
+blas.set_numpy_threads()
 
 __version__ = "0.1.0"
 

@@ -4,21 +4,25 @@ numpy and scipy wheels each bundle their own OpenBLAS: numpy's (ILP64, in
 ``numpy.libs``) runs the matrix products, scipy's (in ``scipy.libs``) runs
 LAPACK's ``zgeev`` behind ``scipy.linalg.eig``. Each starts one thread per
 core, and while one library works the other's helper threads spin-wait,
-so the two contend for the cores even in a serial program. The Monte
-Carlo drivers run numpy's library on one thread, which removes most of
-that waste. scipy's library is left alone: its thread count changes
-zgeev's eigenvectors, and with them the efficiencies, in the last digits.
+so the two contend for the cores even in a serial program. Importing
+``arraymem`` sets numpy's library to one thread, once, for the whole
+process: every entry point (the CLI, a library import, a pool worker that
+unpickles its task) solves with that setting. scipy's library is left
+alone: its thread count changes zgeev's eigenvectors, and with them the
+efficiencies, in the last digits.
 
 Libraries are found through ``/proc/self/maps``. Where that file, a
 library or its thread-control symbols are missing, the functions here do
-nothing. ``ctypes`` is imported on first use, not at import.
+nothing.
 """
 
 from __future__ import annotations
 
-import contextlib
+import ctypes
 import functools
 import os
+
+import numpy
 
 
 def _loaded_paths() -> list:
@@ -40,8 +44,6 @@ def _loaded_paths() -> list:
 @functools.lru_cache(maxsize=None)
 def _controls(path: str):
     """(get, set) thread-count functions of one library, or None."""
-    import ctypes
-
     try:
         lib = ctypes.CDLL(path)
     except OSError:
@@ -58,8 +60,6 @@ def _controls(path: str):
 
 
 def _numpy_controls():
-    import numpy
-
     package = os.path.dirname(numpy.__file__)
     libs = os.path.realpath(os.path.join(package, os.pardir, "numpy.libs"))
     for path in _loaded_paths():
@@ -68,30 +68,14 @@ def _numpy_controls():
     return None
 
 
-def set_numpy_threads(n: int) -> None:
-    """Set the thread count of numpy's OpenBLAS, where it can be found."""
+def set_numpy_threads() -> None:
+    """Run numpy's OpenBLAS on one thread, where it can be found."""
     controls = _numpy_controls()
     if controls:
-        controls[1](n)
+        controls[1](1)
 
 
 def max_threads() -> int:
     """Largest thread count among the loaded OpenBLAS libraries (1 if none is readable)."""
     counts = [c[0]() for c in map(_controls, _loaded_paths()) if c]
     return max(counts, default=1)
-
-
-@contextlib.contextmanager
-def numpy_single_threaded():
-    """Run numpy's OpenBLAS on one thread inside the block, then restore its count."""
-    controls = _numpy_controls()
-    if controls is None:
-        yield
-        return
-    get, put = controls
-    before = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(before)

@@ -349,9 +349,9 @@ def _cmd_scan_waist(config: dict, args) -> int:
     scan = studies.scan_waist(_build_geometry(gc), _mode(config), w0_list, sc["model"])
     try:
         fit = studies.fit_error_model(scan, gc["d"])
-        fit_doc = {"C": fit.parameters["C"], "C_stderr": fit.stderr["C"],
+        fit_doc = {"C": fit.slope, "C_stderr": fit.stderr,
                    "window": fit.window, "residual_norm": fit.residual_norm}
-        fit_note = f"C={fit.parameters['C']:.3e}"
+        fit_note = f"C={fit.slope:.3e}"
     except FitWindowError:
         fit_doc, fit_note = None, "C=n/a (no clipping-free window)"
     path = _write(config, "scan-waist", gc["N"], {"fit": fit_doc, "provenance": scan.provenance},
@@ -379,10 +379,10 @@ def _cmd_holes(config: dict, args) -> int:
         seed=sc["seed"], workers=_workers(config),
     )
     path = _write(config, "holes", gc["N"], {
-        "alpha": hs.alpha.parameters["alpha"], "alpha_stderr": hs.alpha.stderr["alpha"],
+        "alpha": hs.alpha.slope, "alpha_stderr": hs.alpha.stderr,
         "eta_perfect": hs.eta_perfect, "provenance": hs.provenance,
     }, hs.rows)
-    print(f"alpha={hs.alpha.parameters['alpha']:.4f} (+/- {hs.alpha.stderr['alpha']:.4f}) -> {path}")
+    print(f"alpha={hs.alpha.slope:.4f} (+/- {hs.alpha.stderr:.4f}) -> {path}")
     return 0
 
 

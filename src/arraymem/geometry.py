@@ -43,6 +43,8 @@ class Geometry:
         pos = np.asarray(self.positions, dtype=float)
         if pos.ndim != 2 or pos.shape[1] != 3:
             raise InvalidArgumentError("positions must be an (N_a, 3) array")
+        if len(pos) == 0:
+            raise InvalidArgumentError("a geometry needs at least one atom")
         site = self.site_indices
         if site is None:
             site = np.arange(len(pos))

@@ -49,7 +49,6 @@ class ScanResult:
     """One study axis with per-point efficiencies and provenance."""
 
     axis: list
-    eta: list
     epsilon: list
     rows: list
     provenance: dict
@@ -65,9 +64,10 @@ class ScanResult:
 
 @dataclass
 class FitResult:
-    model: str
-    parameters: dict
-    stderr: dict
+    """Least-squares slope through the origin, over the points in window."""
+
+    slope: float
+    stderr: float
     window: dict
     residual_norm: float
 
@@ -118,11 +118,9 @@ def scan_waist(g, mode: DetectionMode, w0_list, model: str = TWO_LEVEL) -> ScanR
     n, d = g.linear_size, g.lattice_constant
     dec = None
     rows = []
-    etas = []
     for w0 in w0_list:
         res = solve(g, replace(mode, w0=w0), model, dec=dec)
         dec, sol = res.dec, res.solution
-        etas.append(sol.eta_max)
         rows.append(
             {
                 "w0": w0,
@@ -132,7 +130,7 @@ def scan_waist(g, mode: DetectionMode, w0_list, model: str = TWO_LEVEL) -> ScanR
                 "spectral_gap": sol.diagnostics["spectral_gap"],
             }
         )
-    eps = [1.0 - e for e in etas]
+    eps = [row["epsilon"] for row in rows]
     interior_minima = sum(
         1
         for i in range(1, len(eps) - 1)
@@ -140,7 +138,6 @@ def scan_waist(g, mode: DetectionMode, w0_list, model: str = TWO_LEVEL) -> ScanR
     )
     return ScanResult(
         axis=w0_list,
-        eta=etas,
         epsilon=eps,
         rows=rows,
         provenance={
@@ -155,23 +152,19 @@ def scan_waist(g, mode: DetectionMode, w0_list, model: str = TWO_LEVEL) -> ScanR
     )
 
 
-def _fit_through_origin(model: str, name: str, x, y, window: dict) -> FitResult:
+def _fit_through_origin(x, y, window: dict) -> FitResult:
     """Least-squares slope of y = slope * x, with its standard error."""
     sxx = np.sum(x * x)
     slope = float(np.sum(x * y) / sxx)
     resid = y - slope * x
     stderr = float(np.sqrt(np.sum(resid**2) / max(len(x) - 1, 1) / sxx))
     return FitResult(
-        model=model,
-        parameters={name: slope},
-        stderr={name: stderr},
-        window=window,
-        residual_norm=float(np.linalg.norm(resid)),
+        slope=slope, stderr=stderr, window=window, residual_norm=float(np.linalg.norm(resid))
     )
 
 
 def fit_error_model(scan: ScanResult, d: float) -> FitResult:
-    """Least-squares C with the exponent pinned at 4.
+    """Least-squares C (the slope) with the exponent pinned at 4.
 
     Only points where the clipping term stays below 10% of the measured
     error enter the fit; the window is recorded explicitly.
@@ -184,9 +177,7 @@ def fit_error_model(scan: ScanResult, d: float) -> FitResult:
     if not np.any(mask):
         raise FitWindowError("no scan points with clipping below 10% of the error")
     window = {"criterion": "clip < 0.1*eps", "w0_used": [float(v) for v in w0[mask]]}
-    return _fit_through_origin(
-        "C/w0^4 + clipping", "C", 1.0 / w0[mask] ** 4, eps[mask] - clip[mask], window
-    )
+    return _fit_through_origin(1.0 / w0[mask] ** 4, eps[mask] - clip[mask], window)
 
 
 def loglog_slope(x, y) -> float:
@@ -305,9 +296,10 @@ def default_workers() -> int:
     """Worker processes that fit on the usable cores.
 
     Each process keeps as many cores busy as its BLAS has threads, so the
-    usable cores are divided by the largest OpenBLAS thread count: serial
-    when BLAS already uses every core, one worker per core when BLAS was
-    started with one thread (OPENBLAS_NUM_THREADS=1).
+    usable cores are divided by the largest OpenBLAS thread count, which
+    is scipy's (numpy's runs on one): serial when scipy's LAPACK already
+    uses every core, one worker per core when it was started with one
+    thread (OPENBLAS_NUM_THREADS=1).
     """
     try:
         cores = len(os.sched_getaffinity(0))
@@ -317,13 +309,15 @@ def default_workers() -> int:
 
 
 def _run_tasks(fn, tasks, workers):
-    """Map fn over tasks, numpy's BLAS on one thread in whichever process runs them."""
+    """Map fn over tasks, in this process or in a pool of worker processes.
+
+    Tasks run numpy's BLAS on one thread either way: importing arraymem
+    sets it (arraymem.blas), a forked worker inherits it, and a spawned
+    or forkserver worker imports arraymem to unpickle its task.
+    """
     if workers <= 1:
-        with blas.numpy_single_threaded():
-            return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=blas.set_numpy_threads, initargs=(1,)
-    ) as pool:
+        return [fn(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         chunk = max(1, len(tasks) // (workers * 4))
         return list(pool.map(fn, tasks, chunksize=chunk))
 
@@ -346,7 +340,7 @@ def _hole_task(args):
 @dataclass
 class HoleStudy:
     rows: list
-    alpha: FitResult
+    alpha: FitResult  # rel_loss = alpha * intensity_fraction
     eta_perfect: float
     provenance: dict
 
@@ -406,8 +400,7 @@ def hole_study(
             }
         )
     fit = _fit_through_origin(
-        "rel_loss = alpha * intensity_fraction", "alpha", np.asarray(xs), np.asarray(ys),
-        {"intercept": 0.0, "pooled_samples": len(xs)},
+        np.asarray(xs), np.asarray(ys), {"intercept": 0.0, "pooled_samples": len(xs)}
     )
     return HoleStudy(
         rows=rows,

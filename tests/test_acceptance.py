@@ -74,7 +74,7 @@ def test_criterion_2_power_law_slope(scan20):
 
 def test_criterion_3_fit_constant(scan20):
     fit = studies.fit_error_model(scan20, 0.6)
-    c = fit.parameters["C"]
+    c = fit.slope
     ok = 1.6e-3 <= c <= 3.6e-3
     report(3, "fit constant", ok, f"C(0.6)={c:.3e} (want within [1.6, 3.6]e-3)")
 
@@ -116,13 +116,13 @@ def test_criterion_6_hole_regression():
         seed=studies.DEFAULT_SEED,
         workers=studies.default_workers(),
     )
-    alpha = hs.alpha.parameters["alpha"]
+    alpha = hs.alpha.slope
     ok = 1.10 <= alpha <= 1.40
     report(
         6,
         "hole regression",
         ok,
-        f"alpha={alpha:.4f} +/- {hs.alpha.stderr['alpha']:.4f} "
+        f"alpha={alpha:.4f} +/- {hs.alpha.stderr:.4f} "
         f"over {len(hs.rows)} configurations (want [1.10, 1.40])",
     )
 

@@ -529,6 +529,21 @@ def test_optimal_waist_solves_the_configured_geometry(tmp_path, capsys, geometry
     assert (opt["w0_opt"], opt["epsilon_opt"]) == (eff["w0"], eff["epsilon"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["efficiency", "--N", "2", "--holes", "0,1,2,3", "--w0", "1"],
+        ["scan-waist", "--N", "3", "--holes", "0-8"],
+    ],
+    ids=["efficiency", "scan-waist"],
+)
+def test_a_geometry_without_atoms_is_an_invalid_configuration(tmp_path, capsys, argv):
+    code, out, err = run([*argv, "--out", str(tmp_path), "--no-timestamp"], capsys)
+    assert code == 2
+    assert err.startswith("invalid configuration:") and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("w0", ["1e3", "1e5"])
 def test_a_beam_too_wide_to_resolve_is_a_numerical_failure(tmp_path, capsys, w0):
     # at w0 = 1e3 the flux norm stops at its panel cap and the field at the

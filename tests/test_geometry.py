@@ -63,6 +63,17 @@ def test_out_of_range_hole_rejected():
         remove_holes(build_square_array(10, 0.6), [100])
 
 
+def test_a_geometry_without_atoms_is_refused():
+    with pytest.raises(InvalidArgumentError, match="at least one atom"):
+        remove_holes(build_square_array(2, 0.6), [0, 1, 2, 3])
+    g = remove_holes(build_square_array(3, 0.6), range(8))
+    assert g.n_atoms == 1
+    with pytest.raises(InvalidArgumentError, match="at least one atom"):
+        remove_holes(g, [8])
+    with pytest.raises(InvalidArgumentError, match="at least one atom"):
+        Geometry(positions=np.zeros((0, 3)), lattice_constant=0.6, linear_size=1)
+
+
 def test_zero_sigma_keeps_geometry():
     g = build_square_array(5, 0.6)
     for seed in (0, 1, 123456789):
