@@ -394,11 +394,15 @@ def _cmd_disorder(config: dict, args) -> int:
     )
     sigmas = [r["sigma"] for r in ds.summary]
     losses = [r["loss_mean"] for r in ds.summary]
-    slope = studies.loglog_slope(sigmas, losses) if len(sigmas) > 1 else float("nan")
+    try:
+        slope = studies.loglog_slope(sigmas, losses)
+        slope_note = f"{slope:.3f}"
+    except FitWindowError:
+        slope, slope_note = None, "n/a"
     path = _write(config, "disorder", gc["N"], {
         "summary": ds.summary, "loglog_slope": slope, "provenance": ds.provenance,
     }, ds.rows)
-    print(f"slope(log loss vs log sigma)={slope:.3f} -> {path}")
+    print(f"slope(log loss vs log sigma)={slope_note} -> {path}")
     return 0
 
 

@@ -209,10 +209,11 @@ def _radial_norm_integral(w0: float, flux_weighted: bool) -> float:
     # The surface norm at small waist reaches the cap: its grazing-wave
     # tail carries weight exp(-k0^2 w0^2 / 2) and creeps logarithmically
     # with refinement; accept the capped value. The flux norm reaches it,
-    # or underflows to zero, only for a beam too wide to resolve.
-    if flux_weighted and not (converged and cur > 0.0):
+    # and either norm underflows to zero, only for a beam too wide to resolve.
+    if cur <= 0.0 or (flux_weighted and not converged):
+        kind = "flux" if flux_weighted else "surface"
         raise NumericalError(
-            f"flux norm of a beam of waist {w0:g} not resolved ({cur:.3g} "
+            f"{kind} norm of a beam of waist {w0:g} not resolved ({cur:.3g} "
             f"with {n * _PANEL_ORDER} nodes): the beam is too wide",
             achieved=abs(cur - prev) / cur if cur > 0.0 else np.inf,
         )

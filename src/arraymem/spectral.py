@@ -4,9 +4,12 @@ A complex symmetric M (when diagonalizable) admits eigenvectors that are
 orthonormal under the non-conjugated bilinear product, v_a^T v_b =
 delta_ab, and complete, sum_a v_a v_a^T = I. A general dense solver does
 not return this normalization: eigenvectors come back unit in the
-Hermitian sense, and within (near-)degenerate clusters they need not be
+Hermitian sense, and those of (near-)degenerate eigenvalues need not be
 bilinearly orthogonal at all. This module restores the bilinear structure
-as a post-pass and turns the identities into hard, checked invariants.
+as a post-pass: it scales every eigenvector to v^T v = 1, and the Gram
+matrix V^T V names the ones that still overlap another by OVERLAP_TOL,
+which alone are re-orthogonalized. The identities are then hard, checked
+invariants.
 
 M is decomposed in the basis Q it carries (greens.SectorBasis): the
 eigensystem is that of Q^T M Q, its eigenvectors are the coordinates of
@@ -27,9 +30,11 @@ from .greens import InteractionMatrix, SectorBasis
 BILINEAR_TOL = 1e-8
 DECAY_TOL = 1e-10
 TRACE_RTOL = 1e-9
-# Eigenvalues closer than this are treated as one (symmetry-degenerate)
-# cluster and re-orthogonalized together.
-CLUSTER_GAP = 1e-9
+# Eigenvectors whose bilinear overlap reaches this are re-orthogonalized.
+# Roundoff alone leaves overlaps below 7e-12 on holed lattices up to N = 30
+# and on perfect lattices' sector matrices, so only (near-)degenerate
+# eigenvalues reach it.
+OVERLAP_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -68,35 +73,23 @@ class SpectralDecomposition:
         }
 
 
-def _cluster_eigenvalues(lam: np.ndarray, gap: float) -> list:
-    """Group (near-)coincident eigenvalues into clusters: the connected
-    components of |lambda_i - lambda_j| < gap, each in lexicographic order.
+def _scale_to_unit(vecs: np.ndarray, j: int) -> bool:
+    """Scale column j to v^T v = 1; False if its bilinear norm vanishes."""
+    v = vecs[:, j]
+    q = v @ v
+    if np.abs(q) < BILINEAR_TOL:
+        return False
+    vecs[:, j] = v / np.sqrt(q)
+    return True
 
-    Neighbours in lexicographic order need not be the closest pair: a
-    third eigenvalue whose real part sorts between two near-degenerate
-    ones would split them. Only values within gap in real part can be
-    linked, so each is compared with the run of values that follows it.
-    """
-    order = np.lexsort((lam.imag, lam.real))
-    ranked = lam[order].tolist()
-    root = list(range(len(order)))
 
-    def find(i):
-        while root[i] != i:
-            root[i] = root[root[i]]
-            i = root[i]
-        return i
-
-    for i in range(len(order)):
-        j = i + 1
-        while j < len(order) and ranked[j].real - ranked[i].real < gap:
-            if abs(ranked[j] - ranked[i]) < gap:
-                root[find(j)] = find(i)
-            j += 1
-    clusters: dict = {}
-    for i, idx in enumerate(order):
-        clusters.setdefault(find(i), []).append(idx)
-    return list(clusters.values())
+def _refuse_vanishing(bad: list) -> None:
+    if bad:
+        raise DefectiveSpectrumError(
+            f"{len(bad)} eigenvector(s) have vanishing bilinear norm; "
+            "matrix is near-defective",
+            indices=sorted(bad),
+        )
 
 
 def eigendecompose(m: InteractionMatrix) -> SpectralDecomposition:
@@ -110,37 +103,32 @@ def eigendecompose(m: InteractionMatrix) -> SpectralDecomposition:
     a = m.basis.project(a)
 
     lam, vecs = scipy.linalg.eig(a)
-
-    bad: list = []
-    for cluster in _cluster_eigenvalues(lam, CLUSTER_GAP):
-        # Bilinear Gram-Schmidt inside each (near-)degenerate cluster;
-        # distinct eigenvalues are bilinearly orthogonal automatically.
-        done: list = []
-        for idx in cluster:
-            v = vecs[:, idx]
-            for u in done:
-                v = v - (u @ v) * u
-            q = v @ v
-            if np.abs(q) < BILINEAR_TOL:
-                bad.append(idx)
-                continue
-            v = v / np.sqrt(q)
-            vecs[:, idx] = v
-            done.append(v)
-    if bad:
-        raise DefectiveSpectrumError(
-            f"{len(bad)} eigenvector(s) have vanishing bilinear norm; "
-            "matrix is near-defective",
-            indices=sorted(bad),
-        )
-
+    _refuse_vanishing([i for i in range(len(lam)) if not _scale_to_unit(vecs, i)])
     order = np.argsort(-lam.imag, kind="stable")
     lam = lam[order]
     vecs = vecs[:, order]
 
-    gram = vecs.T @ vecs
-    bilinear = float(np.max(np.abs(gram - np.eye(len(lam)))))
-    completeness = float(np.max(np.abs(vecs @ vecs.T - np.eye(len(lam)))))
+    # Eigenvectors of distinct eigenvalues are bilinearly orthogonal up to
+    # roundoff over the gap; those of (near-)degenerate ones can overlap
+    # freely. The Gram matrix names them: each is Gram-Schmidted against
+    # the earlier eigenvectors it still overlaps.
+    eye = np.eye(len(lam))
+    overlap = np.abs(vecs.T @ vecs - eye)
+    if overlap.max() >= OVERLAP_TOL:
+        flagged = np.flatnonzero(overlap.max(axis=0) >= OVERLAP_TOL)
+        bad = []
+        for k, j in enumerate(flagged):
+            earlier = flagged[:k]
+            v = vecs[:, j]
+            for i in earlier[np.abs(v @ vecs[:, earlier]) >= OVERLAP_TOL]:
+                v = v - (vecs[:, i] @ v) * vecs[:, i]
+            vecs[:, j] = v
+            if not _scale_to_unit(vecs, j):
+                bad.append(order[j])
+        _refuse_vanishing(bad)
+        overlap = np.abs(vecs.T @ vecs - eye)
+    bilinear = float(overlap.max())
+    completeness = float(np.max(np.abs(vecs @ vecs.T - eye)))
     trace = np.trace(a)
     dec = SpectralDecomposition(
         eigenvalues=lam,

@@ -181,10 +181,12 @@ def fit_error_model(scan: ScanResult, d: float) -> FitResult:
 
 
 def loglog_slope(x, y) -> float:
-    """Least-squares slope of log y against log x."""
-    lx = np.log(np.asarray(x, dtype=float))
-    ly = np.log(np.asarray(y, dtype=float))
-    return float(np.polyfit(lx, ly, 1)[0])
+    """Least-squares slope of log y against log x; FitWindowError unless
+    there are two points or more and every value is positive."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if len(x) < 2 or np.any(x <= 0) or np.any(y <= 0):
+        raise FitWindowError("a log-log slope needs two or more positive points")
+    return float(np.polyfit(np.log(x), np.log(y), 1)[0])
 
 
 @dataclass

@@ -562,8 +562,11 @@ def test_a_beam_too_wide_to_resolve_is_a_numerical_failure(tmp_path, capsys, w0)
         (["efficiency", "--N", "1", "--w0", "1"], "efficiency_1_0.6", "spectral_gap"),
         (["disorder", "--N", "3", "--w0", "1", "--sigma-list", "0.01", "--samples", "2"],
          "disorder_3_0.6", "loglog_slope"),
+        # at tiny sigma the mean losses come out negative, and have no logarithm
+        (["disorder", "--N", "3", "--w0", "1", "--sigma-list", "1e-6,2e-6", "--samples", "2",
+          "--workers", "1"], "disorder_3_0.6", "loglog_slope"),
     ],
-    ids=["single-atom-gap", "single-sigma-slope"],
+    ids=["single-atom-gap", "single-sigma-slope", "non-positive-loss-slope"],
 )
 def test_summaries_are_strict_json(tmp_path, capsys, argv, stem, key):
     def refuse(name):
@@ -572,4 +575,4 @@ def test_summaries_are_strict_json(tmp_path, capsys, argv, stem, key):
     assert run([*argv, "--out", str(tmp_path), "--no-timestamp"], capsys)[0] == 0
     doc = json.loads((tmp_path / f"{stem}.json").read_text(), parse_constant=refuse)
     found = doc["solution"]["diagnostics"] if "solution" in doc else doc
-    assert found[key] is None  # infinite gap of a single atom, slope of a single sigma
+    assert found[key] is None  # infinite gap of a single atom, slope without a fit

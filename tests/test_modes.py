@@ -156,6 +156,20 @@ def test_flux_norm_below_surface_norm():
         assert 0.0 < mode_flux_norm(m) < mode_norm(m)
 
 
+@pytest.mark.parametrize("w0", [1e4, 1e5])
+def test_surface_norm_refuses_a_beam_too_wide_to_resolve(w0):
+    # the integrand underflows at every node, and two zero levels agree
+    with pytest.raises(NumericalError, match="too wide") as info:
+        mode_norm(DetectionMode(w0=w0))
+    assert info.value.achieved == np.inf
+
+
+def test_surface_norm_keeps_its_wide_beam_limit():
+    # at w0 = 1e3 the capped value is positive and is the limit 2 pi / (k0^4 w0^2)
+    w0, k0 = 1e3, 2 * np.pi
+    assert mode_norm(DetectionMode(w0=w0)) == pytest.approx(2 * np.pi / (k0**4 * w0**2), rel=1e-6)
+
+
 def test_single_atom_sample_is_focus_value():
     g = build_square_array(1, 0.6)
     s = sample_mode(DetectionMode(w0=2.0), g)

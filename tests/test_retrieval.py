@@ -206,9 +206,13 @@ def test_solution_export_is_json_ready():
         (remove_holes(build_square_array(5, 0.6), [0, 7, 13, 21]), TWO_LEVEL),
         (apply_position_disorder(build_square_array(4, 0.6), 0.03, 11), TWO_LEVEL),
         (remove_holes(build_square_array(3, 0.6), [4]), ISOTROPIC),
+        # small disorder splits the lattice's degenerate pairs only slightly:
+        # their eigenvectors still overlap bilinearly and are re-orthogonalized
+        (apply_position_disorder(build_square_array(4, 0.6), 1e-8, 12345), ISOTROPIC),
+        (apply_position_disorder(build_square_array(3, 0.6), 1e-7, 12345), ISOTROPIC),
     ],
     ids=["perfect-4-two-level", "perfect-4-isotropic", "holes-5", "disorder-4",
-         "holes-3-isotropic"],
+         "holes-3-isotropic", "near-degenerate-4-isotropic", "near-degenerate-3-isotropic"],
 )
 def test_k_matrix_is_the_controllability_gramian(geometry, model):
     # K = int u u^H dt with u(t) = exp(iMt) E* solves the Lyapunov equation

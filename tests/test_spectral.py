@@ -97,9 +97,10 @@ def test_defective_matrix_raises():
 @pytest.mark.parametrize(
     "third", [1 + 2e-10 + 3j, 1 + 2e-9 + 3j], ids=["between-the-pair", "beside-the-pair"]
 )
-def test_near_degenerate_pair_is_one_cluster(third):
-    # a near-degenerate pair whose real parts bracket a third eigenvalue's
-    # sorts apart in lexicographic order, and is still one cluster
+def test_near_degenerate_pair_is_reorthogonalized(third):
+    # the eigenvectors of a near-degenerate pair overlap bilinearly, whether
+    # a third eigenvalue lies between the pair's or beside it; the Gram
+    # matrix names the pair and it comes out orthonormal
     rng = np.random.default_rng(1)
     a = 0.3 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
     o = scipy.linalg.expm(a - a.T)  # complex orthogonal, o^T o = I

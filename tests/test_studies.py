@@ -102,6 +102,15 @@ def test_fit_requires_clipping_free_points():
         studies.fit_error_model(scan, 0.6)
 
 
+@pytest.mark.parametrize(
+    "x, y", [([0.01], [1e-3]), ([1e-6, 2e-6], [-2.3e-7, -6.8e-8]), ([0.0, 1.0], [1.0, 2.0])],
+    ids=["one-point", "negative-loss", "zero-x"],
+)
+def test_loglog_slope_needs_two_positive_points(x, y):
+    with pytest.raises(FitWindowError):
+        studies.loglog_slope(x, y)
+
+
 def test_optimal_waist_four_by_four():
     opt = studies.optimal_waist(build_square_array(4, 0.6), BEAM)
     assert opt.epsilon < 0.01
