@@ -24,11 +24,9 @@ from .greens import (
 from .modes import (
     DetectionMode,
     ModeSamples,
-    detection_field,
     mode_flux_norm,
     mode_norm,
     sample_mode,
-    validate_projection,
 )
 from .spectral import SpectralDecomposition, eigendecompose
 from .retrieval import (
@@ -56,11 +54,9 @@ __all__ = [
     "ISOTROPIC",
     "DetectionMode",
     "ModeSamples",
-    "detection_field",
     "mode_norm",
     "mode_flux_norm",
     "sample_mode",
-    "validate_projection",
     "SpectralDecomposition",
     "eigendecompose",
     "EfficiencyMatrix",

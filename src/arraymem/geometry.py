@@ -45,6 +45,9 @@ class Geometry:
             raise InvalidArgumentError("positions must be an (N_a, 3) array")
         if len(pos) == 0:
             raise InvalidArgumentError("a geometry needs at least one atom")
+        # a NaN position would pass the separation check: NaN <= x is False
+        if not np.all(np.isfinite(pos)):
+            raise InvalidArgumentError("atom positions must be finite")
         site = self.site_indices
         if site is None:
             site = np.arange(len(pos))
@@ -110,8 +113,8 @@ def build_square_array(n: int, d: float) -> Geometry:
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidArgumentError(f"linear size must be a positive integer, got {n!r}")
-    if d <= 0:
-        raise InvalidArgumentError(f"lattice constant must be positive, got {d!r}")
+    if not 0 < d < np.inf:
+        raise InvalidArgumentError(f"lattice constant must be positive and finite, got {d!r}")
     pos = _lattice_sites(int(n), float(d))
     return Geometry(
         positions=pos,
@@ -165,8 +168,8 @@ def _site_displacements(n: int, sigma: float, seed: int) -> np.ndarray:
 
 def apply_position_disorder(g: Geometry, sigma: float, seed: int) -> Geometry:
     """Displace every atom in-plane by independent Gaussian draws of std sigma."""
-    if sigma < 0:
-        raise InvalidArgumentError(f"disorder sigma must be non-negative, got {sigma!r}")
+    if not 0 <= sigma < np.inf:
+        raise InvalidArgumentError(f"disorder sigma must be non-negative and finite, got {sigma!r}")
     if g.sigma != 0.0:
         raise InvalidArgumentError("geometry already carries position disorder")
     if sigma == 0:

@@ -26,7 +26,7 @@ from scipy.special import j0, j1
 
 from .errors import InvalidArgumentError, NumericalError
 from .geometry import Geometry
-from .greens import TWO_LEVEL, K0, _components, _scalar_parts
+from .greens import TWO_LEVEL, K0, _components
 
 _PANEL_ORDER = 32
 _MAX_PANELS = 1 << 10
@@ -70,7 +70,8 @@ def _field_block(w0, rho, z, tol, flux_weight=False):
 
     g is the azimuth-free part of the z-component: E^z = -i (x/rho) g.
     With flux_weight the spectrum is multiplied by k_z/k0, producing the
-    auxiliary field whose plane overlaps measure photon flux.
+    auxiliary field whose plane overlaps measure photon flux (the plane
+    quadrature of tests/field_oracle.py).
     """
     a = (K0 * w0) ** 2 / 4.0
     karg = K0 * (np.max(rho) + np.max(np.abs(z)) if len(rho) else 0.0)
@@ -112,8 +113,6 @@ def _field_components(w0, rho, z, tol, flux_weight=False):
     """
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    if z.size == 1:
-        z = np.full_like(rho, z[0])
     points, inverse = np.unique(
         np.stack([rho, z], axis=1), axis=0, return_inverse=True
     )
@@ -176,11 +175,6 @@ def _field_vectors(m: DetectionMode, pos: np.ndarray, c: int) -> np.ndarray:
     off_axis = rho != 0.0
     ez[off_axis] = -1j * (pos[off_axis, 0] / rho[off_axis]) * g[off_axis]
     return np.stack((ex, np.zeros_like(ex), ez)[:c], axis=1)
-
-
-def detection_field(m: DetectionMode, r) -> np.ndarray:
-    """Complex field vector (E^x, 0, E^z) of the +z beam at a point."""
-    return _field_vectors(m, np.asarray(r, dtype=float)[None], 3)[0]
 
 
 @functools.lru_cache(maxsize=256)
@@ -291,120 +285,3 @@ def samples_to_rows(g: Geometry, samples: ModeSamples) -> list:
         }
         for j in range(g.n_atoms)
     ]
-
-
-@dataclass(frozen=True)
-class ProjectionCheck:
-    """Result of the dipole-overlap validation integral."""
-
-    numeric: complex
-    closed_form: complex
-    discrepancy: float
-    radius: float
-    n_phi: int
-
-
-def validate_projection(
-    m: DetectionMode,
-    dipole_position,
-    dipole_orientation,
-    plane_z: float,
-    radius: float | None = None,
-    rel_tol: float = 1e-6,
-) -> ProjectionCheck:
-    """Check the mode-projection identity against direct plane integration.
-
-    For a single oscillating dipole, the flux-weighted overlap of its
-    radiated field with the detection mode over a transverse plane on the
-    propagating side collapses to a local sample of the mode:
-
-        Int_{z = z_p} d^2r  W*(r) . G(r, r_d) . d  =  (i / 2 k0) E_det*(r_d) . d,
-
-    where W is the mode with each plane-wave component weighted by k_z/k0
-    (the obliquity factor cancels the 1/k_z of the Green's-function angular
-    spectrum, which is what makes the right-hand side local). This is the
-    identity behind the sampled-field detector operator. Returns the
-    relative discrepancy between the two sides, relative to the closed
-    form with the focus amplitude |E_det(0)| / 2k0 as a floor, so the
-    zero-overlap case remains meaningful. The floor is an amplitude of the
-    beam, not of the dipole: the mode amplitude at the dipole falls like
-    exp(-rho^2 / w0^2) off axis, while the plane integrand stays of the
-    focus size, so a floor taken at the dipole would ask the quadrature
-    for less than the roundoff of its own sum. The same floor sets the
-    convergence threshold rel_tol * max(|closed form|, floor) between
-    successive quadrature levels.
-    """
-    r_d = np.asarray(dipole_position, dtype=float)
-    dvec = np.asarray(dipole_orientation, dtype=float)
-    if abs(np.linalg.norm(dvec) - 1.0) > 1e-9:
-        raise InvalidArgumentError("dipole orientation must be a unit vector")
-    if plane_z <= r_d[2]:
-        raise InvalidArgumentError(
-            "integration plane must lie beyond the dipole on the +z side"
-        )
-    if radius is None:
-        radius = 40.0 * _waist(m)
-    tol = m.quadrature_tolerance
-
-    closed = (0.5j / K0) * np.vdot(detection_field(m, r_d), dvec)
-    scale = np.linalg.norm(detection_field(m, np.zeros(3))) / (2.0 * K0)
-    threshold = rel_tol * max(abs(closed), scale)
-
-    def level_value(order, n_phi):
-        x, w = np.polynomial.legendre.leggauss(order)
-        n_panels = int(np.ceil(radius / 0.5))
-        edges = np.linspace(0.0, radius, n_panels + 1)
-        mid = (edges[1:] + edges[:-1]) / 2.0
-        half = (edges[1:] - edges[:-1]) / 2.0
-        rho = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-        w_rho = (half[:, None] * w[None, :]).ravel()
-        ex, gz = _field_components(m.w0, rho, [plane_z], tol, flux_weight=True)
-        phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-        w_phi = 2.0 * np.pi / n_phi
-        total = 0.0 + 0.0j
-        chunk = max(1, int(2e6 / max(len(rho), 1)))
-        for lo in range(0, n_phi, chunk):
-            ph = phi[lo : lo + chunk]
-            cos_p = np.cos(ph)
-            sin_p = np.sin(ph)
-            pts = np.empty((len(rho), len(ph), 3))
-            pts[:, :, 0] = rho[:, None] * cos_p[None, :]
-            pts[:, :, 1] = rho[:, None] * sin_p[None, :]
-            pts[:, :, 2] = plane_z
-            flat = pts.reshape(-1, 3)
-            dr = flat - r_d[None, :]
-            dist = np.linalg.norm(dr, axis=1)
-            f_t, f_l = _scalar_parts(dist)
-            rhat = dr / dist[:, None]
-            gd = f_t[:, None] * dvec[None, :] + (f_l * (rhat @ dvec))[:, None] * rhat
-            gd = gd.reshape(len(rho), len(ph), 3)
-            e_x = ex[:, None]
-            e_z = -1j * cos_p[None, :] * gz[:, None]
-            integrand = e_x.conj() * gd[:, :, 0] + e_z.conj() * gd[:, :, 2]
-            total += np.sum((w_rho * rho)[:, None] * integrand) * w_phi
-        return total
-
-    levels = ((8, 64), (16, 128), (32, 256), (64, 512))
-    prev = None
-    err = np.inf
-    for order, n_phi in levels:
-        cur = level_value(order, n_phi)
-        if prev is not None:
-            err = abs(cur - prev)
-            if err <= threshold:
-                break
-        prev = cur
-    else:
-        raise NumericalError(
-            f"projection integral did not converge below {threshold:.3g} "
-            f"(radius {radius:g})",
-            achieved=err,
-        )
-    discrepancy = abs(cur - closed) / max(abs(closed), scale)
-    return ProjectionCheck(
-        numeric=complex(cur),
-        closed_form=complex(closed),
-        discrepancy=float(discrepancy),
-        radius=float(radius),
-        n_phi=n_phi,
-    )

@@ -159,11 +159,3 @@ def _check_invariants(dec: SpectralDecomposition) -> None:
         raise DefectiveSpectrumError(
             "spectral invariants violated: " + "; ".join(problems)
         )
-
-
-def reconstruction_residual(m: InteractionMatrix, dec: SpectralDecomposition) -> float:
-    """Max-norm of V Lambda V^T - A relative to max |A|, for the matrix A
-    that was decomposed, Q^T M Q."""
-    a = dec.basis.project(m.entries)
-    rebuilt = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.T
-    return float(np.max(np.abs(rebuilt - a)) / np.max(np.abs(a)))

@@ -310,6 +310,14 @@ def default_workers() -> int:
     return max(1, cores // blas.max_threads())
 
 
+def _check_study_size(axis: list, n_samples: int, name: str) -> None:
+    """Refuse a study without configurations: its fit or means would be NaN."""
+    if not axis:
+        raise InvalidArgumentError(f"{name} must not be empty")
+    if n_samples < 1:
+        raise InvalidArgumentError(f"n_samples must be positive, got {n_samples!r}")
+
+
 def _run_tasks(fn, tasks, workers):
     """Map fn over tasks, in this process or in a pool of worker processes.
 
@@ -364,6 +372,7 @@ def hole_study(
     perfect one, at the perfect lattice's best waist when mode has none.
     """
     hole_counts = [int(h) for h in hole_counts]
+    _check_study_size(hole_counts, n_samples, "hole_counts")
     if any(h < 1 or h > 0.2 * n * n for h in hole_counts):
         raise InvalidArgumentError("hole counts must stay within 20% of the sites")
     res0 = solve(build_square_array(n, d), mode)
@@ -451,6 +460,7 @@ def position_disorder_study(
     disorder penalty.
     """
     sigma_list = [float(s) for s in sigma_list]
+    _check_study_size(sigma_list, n_samples, "sigma_list")
     if any(s <= 0 for s in sigma_list) or sorted(sigma_list) != sigma_list:
         raise InvalidArgumentError("sigma_list must be positive and sorted")
     res0 = solve(build_square_array(n, d), mode)

@@ -277,11 +277,13 @@ def test_isotropic_command(tmp_path, capsys):
     assert "isotropic error increase" in out
 
 
-def test_validate_command(capsys):
-    code, out, _ = run(["validate"], capsys)
-    assert code == 0
-    assert "checks passed" in out
-    assert "FAIL" not in out
+def test_validate_is_not_a_command(capsys):
+    # every solve checks its own spectral invariants and K's Hermiticity
+    with pytest.raises(SystemExit) as exc:
+        main(["validate"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'validate'" in capsys.readouterr().err
+    assert "validate" not in cli.build_parser().format_help()
 
 
 def test_hole_range_flag_parsing(tmp_path, capsys):
@@ -358,7 +360,6 @@ _READS = {
     "disorder": ["--N", "--d", "--w0", *_BEAM, "--allow-large"],
     "finite-time": [*_GEOMETRY, "--w0", *_BEAM, "--model", "--allow-large"],
     "isotropic": ["--d", *_BEAM, "--allow-large"],
-    "validate": ["--tol"],
 }
 
 
@@ -372,7 +373,6 @@ _READS = {
         ("disorder", ["--sigma-list", "--samples"]),
         ("finite-time", ["--Td"]),
         ("isotropic", ["--N-list"]),
-        ("validate", []),
     ],
 )
 def test_command_option_strings(command, own):
@@ -394,7 +394,6 @@ def test_command_option_strings(command, own):
         ["optimal-waist", "--w0", "7"],
         ["scan-waist", "--w0", "2"],
         ["isotropic", "--N", "4"],  # not a prefix of --N-list
-        ["validate", "--N", "4"],
     ],
 )
 def test_flags_a_command_does_not_read_are_refused(tmp_path, capsys, argv):

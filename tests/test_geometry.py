@@ -33,7 +33,9 @@ def test_ten_by_ten_extent():
     assert np.max(np.abs(g.positions)) == pytest.approx(2.7, abs=1e-14)
 
 
-@pytest.mark.parametrize("n,d", [(0, 0.6), (-3, 0.6), (4, 0.0), (4, -1.0)])
+@pytest.mark.parametrize(
+    "n,d", [(0, 0.6), (-3, 0.6), (4, 0.0), (4, -1.0), (3, np.inf), (3, np.nan)]
+)
 def test_invalid_build_arguments(n, d):
     with pytest.raises(InvalidArgumentError):
         build_square_array(n, d)
@@ -105,8 +107,19 @@ def test_disorder_sample_std_matches_sigma():
 
 
 def test_negative_sigma_rejected():
-    with pytest.raises(InvalidArgumentError):
-        apply_position_disorder(build_square_array(3, 0.6), -0.1, 1)
+    # and one that is not a finite number
+    for sigma in (-0.1, np.nan, np.inf):
+        with pytest.raises(InvalidArgumentError):
+            apply_position_disorder(build_square_array(3, 0.6), sigma, 1)
+
+
+def test_non_finite_positions_rejected():
+    # NaN passes the separation check: NaN <= MIN_SEPARATION is False
+    for bad in (np.nan, np.inf):
+        pos = build_square_array(2, 0.6).positions.copy()
+        pos[1, 0] = bad
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            Geometry(positions=pos, lattice_constant=0.6, linear_size=2)
 
 
 def test_double_disorder_rejected():

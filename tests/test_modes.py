@@ -7,15 +7,14 @@ from arraymem import (
     ISOTROPIC,
     DetectionMode,
     build_square_array,
-    detection_field,
     mode_flux_norm,
     mode_norm,
     sample_mode,
-    validate_projection,
 )
 from arraymem.errors import InvalidArgumentError, NumericalError
 from arraymem.greens import K0
 from arraymem.modes import _field_components
+from field_oracle import detection_field, validate_projection
 
 
 def focus_amplitude(w0):
@@ -44,7 +43,7 @@ def mode_norm_realspace(m: DetectionMode, z: float = 0.0) -> float:
         half = (edges[1:] - edges[:-1]) / 2.0
         rho = (mid[:, None] + half[:, None] * x[None, :]).ravel()
         wts = (half[:, None] * w[None, :]).ravel()
-        ex, g = _field_components(m.w0, rho, [z], tol)
+        ex, g = _field_components(m.w0, rho, np.full_like(rho, z), tol)
         ez_mag2 = np.abs(g) ** 2
         radial = 2.0 * np.pi * np.abs(ex) ** 2 + np.pi * ez_mag2
         return float(np.sum(wts * rho * radial))

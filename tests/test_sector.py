@@ -11,7 +11,6 @@ from arraymem import (
     DetectionMode,
     apply_position_disorder,
     build_square_array,
-    detection_field,
     eigendecompose,
     eta_finite_time,
     interaction_matrix,
@@ -23,6 +22,7 @@ from arraymem.modes import _FIELD_CHUNK
 from arraymem.retrieval import efficiency_of_spin_wave
 from arraymem.greens import COMPONENTS, sector_basis
 from arraymem import studies
+from field_oracle import detection_field
 from ode_oracle import ControlSchedule, evolve
 
 SIZES = (1, 2, 3, 4, 5, 8)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -12,8 +14,15 @@ from arraymem import (
     remove_holes,
 )
 from arraymem.errors import DefectiveSpectrumError, InvalidArgumentError
-from arraymem.greens import InteractionMatrix, whole_space
-from arraymem.spectral import reconstruction_residual
+from arraymem.greens import InteractionMatrix, sector_basis, whole_space
+
+
+def reconstruction_residual(m: InteractionMatrix, dec) -> float:
+    """Max-norm of V Lambda V^T - A relative to max |A|, for the matrix A
+    that was decomposed, Q^T M Q."""
+    a = dec.basis.project(m.entries)
+    rebuilt = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.T
+    return float(np.max(np.abs(rebuilt - a)) / np.max(np.abs(a)))
 
 
 def test_single_atom_spectrum():
@@ -36,21 +45,33 @@ def test_two_atom_exchange_symmetry():
 
 
 @pytest.mark.parametrize(
-    "geometry,model",
+    "geometry,model,in_sector",
     [
-        (build_square_array(10, 0.6), TWO_LEVEL),
-        (remove_holes(build_square_array(6, 0.6), [0, 7, 18]), TWO_LEVEL),
-        (apply_position_disorder(build_square_array(6, 0.6), 0.03, 17), TWO_LEVEL),
-        (build_square_array(4, 0.6), ISOTROPIC),
+        pytest.param(build_square_array(10, 0.6), TWO_LEVEL, False, id="geometry0-two-level"),
+        pytest.param(
+            remove_holes(build_square_array(6, 0.6), [0, 7, 18]), TWO_LEVEL, False,
+            id="geometry1-two-level",
+        ),
+        pytest.param(
+            apply_position_disorder(build_square_array(6, 0.6), 0.03, 17), TWO_LEVEL, False,
+            id="geometry2-two-level",
+        ),
+        pytest.param(build_square_array(4, 0.6), ISOTROPIC, False, id="geometry3-isotropic"),
+        # a perfect lattice is solved in its mirror sector, Q^T M Q
+        pytest.param(build_square_array(4, 0.6), TWO_LEVEL, True, id="sector-4x4-two-level"),
+        pytest.param(build_square_array(3, 0.6), ISOTROPIC, True, id="sector-3x3-isotropic"),
     ],
 )
-def test_identities_across_geometries(geometry, model):
+def test_identities_across_geometries(geometry, model, in_sector):
     m = interaction_matrix(geometry, model)
+    if in_sector:
+        m = replace(m, basis=sector_basis(geometry, model))
     dec = eigendecompose(m)
     assert dec.bilinear_condition < 1e-8
     assert dec.completeness_residual < 1e-8
     assert dec.eigenvalues.imag.min() > -1e-10
-    expected = 0.5j * dec.size
+    # tr Q^T M Q; over the whole space, 0.5j on each of M's rows
+    expected = np.trace(m.basis.project(m.entries)) if in_sector else 0.5j * dec.size
     assert abs(dec.eigenvalues.sum() - expected) < 1e-9 * abs(expected)
     assert reconstruction_residual(m, dec) < 1e-9
 

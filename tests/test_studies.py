@@ -237,6 +237,26 @@ def test_hole_study_rejects_too_many_holes():
         studies.hole_study(4, 0.6, DetectionMode(w0=1.0), [4], 2)  # > 20% of 16 sites
 
 
+@pytest.mark.parametrize(
+    "study, axis, n_samples",
+    [
+        (studies.hole_study, [1], 0),
+        (studies.hole_study, [], 2),
+        (studies.position_disorder_study, [0.01], 0),
+        (studies.position_disorder_study, [], 2),
+    ],
+    ids=["hole-no-samples", "hole-no-counts", "disorder-no-samples", "disorder-no-sigmas"],
+)
+def test_monte_carlo_studies_refuse_an_empty_study(monkeypatch, study, axis, n_samples):
+    # refused before the perfect lattice is solved; it had a NaN fit or mean
+    def unused(*args, **kwargs):
+        raise AssertionError("solved an empty study")
+
+    monkeypatch.setattr(studies, "solve", unused)
+    with pytest.raises(InvalidArgumentError, match="empty|positive"):
+        study(3, 0.6, DetectionMode(w0=1.2), axis, n_samples)
+
+
 def test_sigma_zero_disorder_loss_is_exactly_zero():
     g = build_square_array(5, 0.6)
     sol = eta_at(g, 1.2)
