@@ -87,7 +87,10 @@ class SectorBasis:
         return self.q_x.shape[0]
 
     def project(self, a: np.ndarray) -> np.ndarray:
-        """Q^T A Q, made exactly symmetric (it is so up to roundoff)."""
+        """Q^T A Q, made exactly symmetric (it is so up to roundoff); A
+        itself in the whole space, where Q = I."""
+        if self.q.shape[1] == self.q.shape[0]:
+            return a
         r = self.q.T @ a @ self.q
         return 0.5 * (r + r.T)
 

@@ -65,13 +65,14 @@ def _start_panels(max_arg: float) -> int:
     return n
 
 
-def _field_block(w0, rho, z, tol, flux_weight=False):
+def _field_block(w0, rho, z, tol, flux_weight, tables):
     """Adaptive evaluation of (E^x, g) on a batch of (rho, z) points.
 
     g is the azimuth-free part of the z-component: E^z = -i (x/rho) g.
     With flux_weight the spectrum is multiplied by k_z/k0, producing the
     auxiliary field whose plane overlaps measure photon flux (the plane
-    quadrature of tests/field_oracle.py).
+    quadrature of tests/field_oracle.py). The Bessel tables of each panel
+    count, which do not depend on the waist, are kept in tables.
     """
     a = (K0 * w0) ** 2 / 4.0
     karg = K0 * (np.max(rho) + np.max(np.abs(z)) if len(rho) else 0.0)
@@ -85,10 +86,13 @@ def _field_block(w0, rho, z, tol, flux_weight=False):
         weight = w * s * np.exp(-a * s * s)
         if flux_weight:
             weight = weight * c
-        phase = np.exp(1j * K0 * np.outer(c, z))
-        bess_arg = K0 * np.outer(s, rho)
-        ex = (weight * c) @ (j0(bess_arg) * phase)
-        g = (weight * s) @ (j1(bess_arg) * phase)
+        if n not in tables:
+            phase = np.exp(1j * K0 * np.outer(c, z))
+            bess_arg = K0 * np.outer(s, rho)
+            tables[n] = (j0(bess_arg) * phase, j1(bess_arg) * phase)
+        j0_phase, j1_phase = tables[n]
+        ex = (weight * c) @ j0_phase
+        g = (weight * s) @ j1_phase
         if prev is not None:
             err = max(
                 np.max(np.abs(ex - prev[0]), initial=0.0),
@@ -105,25 +109,34 @@ def _field_block(w0, rho, z, tol, flux_weight=False):
     )
 
 
+# The last (rho, z) sampled, its distinct points, inverse and Bessel tables
+# by chunk and panel count: a waist search samples one geometry at every waist.
+_last_points: tuple = ()
+
+
 def _field_components(w0, rho, z, tol, flux_weight=False):
     """Chunked wrapper around _field_block, run once per distinct (rho, z).
 
     The fields depend on the point only through (rho, z), which a centred
     lattice repeats up to eight times.
     """
+    global _last_points
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    points, inverse = np.unique(
-        np.stack([rho, z], axis=1), axis=0, return_inverse=True
-    )
+    last = _last_points
+    if not (last and np.array_equal(last[0], rho) and np.array_equal(last[1], z)):
+        points, inverse = np.unique(
+            np.stack([rho, z], axis=1), axis=0, return_inverse=True
+        )
+        _last_points = (rho.copy(), z.copy(), points, inverse.reshape(-1), {})
+    _, _, points, inverse, tables = _last_points
     ex = np.empty(len(points), dtype=complex)
     g = np.empty(len(points), dtype=complex)
     for lo in range(0, len(points), _FIELD_CHUNK):
         sl = slice(lo, lo + _FIELD_CHUNK)
         ex[sl], g[sl] = _field_block(
-            w0, points[sl, 0], points[sl, 1], tol, flux_weight
+            w0, points[sl, 0], points[sl, 1], tol, flux_weight, tables.setdefault(lo, {})
         )
-    inverse = inverse.reshape(-1)
     return ex[inverse], g[inverse]
 
 

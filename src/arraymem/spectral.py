@@ -19,12 +19,13 @@ Q = I, the whole space, that is M itself.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .errors import DefectiveSpectrumError, InvalidArgumentError
+from .errors import DefectiveSpectrumError, InvalidArgumentError, SingularPairError
 from .greens import InteractionMatrix, SectorBasis
 
 BILINEAR_TOL = 1e-8
@@ -35,6 +36,21 @@ TRACE_RTOL = 1e-9
 # and on perfect lattices' sector matrices, so only (near-)degenerate
 # eigenvalues reach it.
 OVERLAP_TOL = 1e-10
+PAIR_DENOM_FLOOR = 1e-14
+
+
+def _pair_kernel(lam: np.ndarray) -> np.ndarray:
+    """Gram matrix i / (lambda_xi - lambda_xi'^*) with a dark-pair guard."""
+    denom = lam[:, None] - lam.conj()[None, :]
+    small = np.abs(denom) < PAIR_DENOM_FLOOR
+    if np.any(small):
+        pairs = [tuple(map(int, p)) for p in np.argwhere(small)[:8]]
+        raise SingularPairError(
+            "vanishing decay denominator for mode pairs (zero-decay pair "
+            "cannot radiate into the detector): " + repr(pairs),
+            pairs=pairs,
+        )
+    return 1j / denom
 
 
 @dataclass(frozen=True)
@@ -63,6 +79,12 @@ class SpectralDecomposition:
     def size(self) -> int:
         """Rows of M."""
         return self.basis.q.shape[0]
+
+    @functools.cached_property
+    def pair_kernel(self) -> np.ndarray:
+        """i / (lambda_xi - lambda_xi'^*), formed once: every waist solved on
+        this eigensystem reads it."""
+        return _pair_kernel(self.eigenvalues)
 
     def diagnostics(self) -> dict:
         return {

@@ -21,7 +21,6 @@ from arraymem.greens import InteractionMatrix
 from arraymem.modes import ModeSamples
 from arraymem.retrieval import (
     _check_spin_wave,
-    _pair_kernel,
     efficiency_prefactor,
     mode_projections,
 )
@@ -228,7 +227,7 @@ def eta_pair_window(
     amp0 = dec.eigenvectors[dec.basis.x].T @ (dec.basis.q_x.T @ s0)
     lam = dec.eigenvalues
     decay = np.exp(1j * (lam[:, None] - lam.conj()[None, :]) * t_d)
-    window = _pair_kernel(lam) * (1.0 - decay)
+    window = dec.pair_kernel * (1.0 - decay)
     c = proj * amp0
     return float(efficiency_prefactor(samples) * np.real(c @ (window @ c.conj())))
 

@@ -18,12 +18,17 @@ from arraymem import (
     remove_holes,
     sample_mode,
 )
-from arraymem.errors import InvalidArgumentError, SingularPairError
+from arraymem.errors import InvalidArgumentError, NumericalError, SingularPairError
 from arraymem.greens import COMPONENTS, whole_space
 from arraymem.modes import ModeSamples
-from arraymem.retrieval import efficiency_prefactor, solution_to_dict
+from arraymem.retrieval import (
+    EfficiencyMatrix,
+    _fix_phase,
+    efficiency_prefactor,
+    solution_to_dict,
+)
 from arraymem.spectral import SpectralDecomposition
-from arraymem import studies
+from arraymem import retrieval, studies
 
 
 def pipeline(geometry, w0=1.5, model=TWO_LEVEL, two_sided=True):
@@ -44,7 +49,8 @@ def test_single_atom_k_is_intensity():
 def test_k_is_hermitian():
     for n, d in ((3, 0.6), (3, 0.45), (4, 0.8)):
         _, _, mat = pipeline(build_square_array(n, d))
-        assert mat.hermiticity_residual() < 1e-10
+        k = mat.k
+        assert np.max(np.abs(k - k.conj().T)) < 1e-10 * np.max(np.abs(k))
 
 
 def test_two_atom_exchange_commutes_with_k():
@@ -237,3 +243,75 @@ def test_k_matrix_is_the_controllability_gramian(geometry, model):
         u = q_x.T @ spin
         oracle = res.prefactor * np.real(u @ (res.k @ u.conj()))
         assert abs(efficiency_of_spin_wave(res, spin) - oracle) <= 1e-13
+
+
+def dense_top(mat):
+    """eta, spin wave and gap from a dense eigh of the formed K: the top
+    pair as it was computed before the iteration."""
+    evals, evecs = np.linalg.eigh(mat.k)
+    basis = mat.dec.basis
+    evals = np.sort(np.concatenate([evals, np.zeros(basis.n_atoms - len(evals))]))
+    spin = _fix_phase((basis.q_x @ evecs[:, -1]).conj())
+    gap = evals[-1] - evals[-2] if len(evals) > 1 else np.inf
+    return mat.prefactor * evals[-1], spin / np.linalg.norm(spin), gap, evals[-1]
+
+
+@pytest.mark.parametrize(
+    "geometry, model",
+    [
+        *((build_square_array(n, 0.6), TWO_LEVEL) for n in (1, 2, 4, 10, 20)),
+        (build_square_array(3, 0.6), ISOTROPIC),
+        (build_square_array(14, 0.6), ISOTROPIC),
+        (remove_holes(build_square_array(10, 0.6), [3, 44, 56, 71]), TWO_LEVEL),
+        (apply_position_disorder(build_square_array(10, 0.6), 0.02, 3), TWO_LEVEL),
+    ],
+    ids=["perfect-1", "perfect-2", "perfect-4", "perfect-10", "perfect-20",
+         "isotropic-3", "isotropic-14", "holes-10", "disorder-10"],
+)
+def test_top_pair_matches_dense_eigh(geometry, model):
+    mat = studies.solve(geometry, DetectionMode(w0=1.5), model)
+    eta, spin, gap, top = dense_top(mat)
+    sol = max_efficiency(mat)
+    assert abs(sol.eta_max - eta) <= 1e-13
+    assert np.max(np.abs(sol.spin_wave - spin)) <= 1e-12
+    if np.isinf(gap):
+        assert sol.diagnostics["spectral_gap"] == gap
+    else:
+        assert abs(sol.diagnostics["spectral_gap"] - gap) <= 1e-12 * top
+    assert not sol.diagnostics["degenerate_top"]
+    assert sol.diagnostics["ritz_residual"] <= 1e-13 * top
+
+
+def test_degenerate_top_is_found_as_an_eigenspace():
+    # K = V W V^H with V real orthogonal has the spectrum of W, here a
+    # doubly degenerate top: any vector of that plane is a top eigenvector
+    n = 8
+    rng = np.random.default_rng(5)
+    v = np.linalg.qr(rng.normal(size=(n, n)))[0].astype(complex)
+    z = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    w = z @ np.diag([1.0, 1.0, 0.5, 0.3, 0.1, 0.05, 0.02, 0.01]) @ z.conj().T
+    dec = SpectralDecomposition(
+        eigenvalues=0.1 * np.arange(n) + 0.5j,
+        eigenvectors=v,
+        bilinear_condition=0.0,
+        completeness_residual=0.0,
+        basis=whole_space(n, TWO_LEVEL),
+    )
+    samples = ModeSamples(values=np.ones((n, 1), complex), f_flux=1.0, w0=1.0, two_sided=True)
+    mat = EfficiencyMatrix(dec=dec, samples=samples, w=w, prefactor=0.5)
+    eta, _, gap, top = dense_top(mat)
+    sol = max_efficiency(mat)
+    assert abs(sol.eta_max - eta) <= 1e-13
+    assert sol.diagnostics["degenerate_top"]
+    assert abs(sol.diagnostics["spectral_gap"] - gap) <= 1e-12 * top
+    u = sol.spin_wave.conj()
+    assert np.linalg.norm(mat.k @ u - top * u) <= 1e-12 * top
+
+
+def test_top_pair_that_does_not_converge_is_a_numerical_error(monkeypatch):
+    # the 10x10 perfect lattice needs more than one block product
+    _, _, mat = pipeline(build_square_array(10, 0.6))
+    monkeypatch.setattr(retrieval, "MAX_RITZ_ITERATIONS", 1)
+    with pytest.raises(NumericalError) as info:
+        max_efficiency(mat)
+    assert info.value.achieved > retrieval.RITZ_RTOL * np.linalg.eigvalsh(mat.k)[-1]

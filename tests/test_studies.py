@@ -24,7 +24,7 @@ from arraymem import (
 )
 from arraymem.errors import FitWindowError, InvalidArgumentError, NumericalError
 from arraymem.retrieval import efficiency_of_spin_wave
-from arraymem import blas, retrieval, studies
+from arraymem import blas, modes, retrieval, spectral, studies
 
 BEAM = DetectionMode(w0=1.5)  # the waist searches replace its w0
 
@@ -201,6 +201,52 @@ def test_disorder_task_skips_the_top_eigenpair(monkeypatch):
 
     monkeypatch.setattr(retrieval, "max_efficiency", unused)
     assert studies._disorder_task(args) == expected
+
+
+def counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call's first
+    argument."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_a_waist_search_forms_the_waist_free_parts_once(monkeypatch):
+    # the pair kernel belongs to the eigensystem, the Bessel tables to the
+    # geometry; a waist evaluation forms neither again, nor K itself
+    monkeypatch.setattr(modes, "_last_points", ())
+    kernels = counting(monkeypatch, spectral, "_pair_kernel")
+    tables = counting(monkeypatch, modes, "j0")
+    opt = studies.optimal_waist(build_square_array(6, 0.6), BEAM)
+    assert opt.n_evaluations > 10
+    assert len(kernels) == 1
+    panels = [arg.shape[0] // modes._PANEL_ORDER for arg in tables]
+    assert panels and len(panels) == len(set(panels))
+    assert "k" not in opt.result.__dict__
+
+
+def test_a_disorder_task_never_forms_k(monkeypatch):
+    solved = counting(monkeypatch, studies, "efficiency_of_spin_wave")
+    studies._disorder_task((4, 0.6, DetectionMode(w0=1.2), 0.02, 7, np.full(16, 0.25)))
+    assert len(solved) == 1 and "k" not in solved[0].__dict__
+
+
+def test_samples_do_not_depend_on_the_bessel_table_memo(monkeypatch):
+    g = build_square_array(7, 0.6)
+    mode = DetectionMode(w0=1.3)
+    monkeypatch.setattr(modes, "_last_points", ())
+    cold = sample_mode(mode, g).values
+    for w0 in (0.4, 3.0, 1.1):  # fill tables at other panel counts
+        sample_mode(DetectionMode(w0=w0), g)
+    assert np.array_equal(sample_mode(mode, g).values, cold)
+    monkeypatch.setattr(modes, "_last_points", ())
+    assert np.array_equal(sample_mode(mode, g).values, cold)
 
 
 def test_scan_is_unimodal_around_optimum():
