@@ -62,7 +62,9 @@ class Geometry:
         self._check_separation()
 
     def _check_separation(self):
-        dmin = self.min_separation()
+        # atoms on distinct sites of their lattice are d apart or more: no pair scan
+        on_lattice = self.n_atoms > 1 and self._on_lattice()
+        dmin = abs(self.lattice_constant) if on_lattice else self.min_separation()
         if dmin <= MIN_SEPARATION:
             raise SingularGeometryError(
                 f"minimum atom separation {dmin:.3e} is below {MIN_SEPARATION:.0e}"
@@ -71,6 +73,14 @@ class Geometry:
     @property
     def n_atoms(self) -> int:
         return len(self.positions)
+
+    def _on_lattice(self) -> bool:
+        """Whether the atoms sit exactly on distinct sites of their parent
+        lattice, as site_indices name them."""
+        n, site = self.linear_size, self.site_indices
+        if site.min() < 0 or site.max() >= n * n or len(np.unique(site)) < len(site):
+            return False
+        return np.array_equal(self.positions, _lattice_sites(n, self.lattice_constant)[site])
 
     def min_separation(self) -> float:
         """Smallest pair distance, summed over per-coordinate differences,

@@ -12,9 +12,10 @@ which alone are re-orthogonalized. The identities are then hard, checked
 invariants.
 
 M is decomposed in the basis Q it carries (greens.SectorBasis): the
-eigensystem is that of Q^T M Q, its eigenvectors are the coordinates of
-the eigenvectors Q v of M, and the decomposition carries Q along. With
-Q = I, the whole space, that is M itself.
+eigensystem is that of Q^T M Q (greens.InteractionMatrix.in_basis), its
+eigenvectors are the coordinates of the eigenvectors Q v of M, and the
+decomposition carries Q along. With Q = I, the whole space, that is M
+itself.
 """
 
 from __future__ import annotations
@@ -117,12 +118,11 @@ def _refuse_vanishing(bad: list) -> None:
 def eigendecompose(m: InteractionMatrix) -> SpectralDecomposition:
     """Eigensystem of Q^T M Q in the basis Q that M carries, with bilinear
     normalization and diagnostics."""
-    a = m.entries
+    a = m.in_basis()
     if not np.all(np.isfinite(a)):
         raise InvalidArgumentError("interaction matrix has non-finite entries")
     if not np.array_equal(a, a.T):
         raise InvalidArgumentError("interaction matrix is not symmetric")
-    a = m.basis.project(a)
 
     lam, vecs = scipy.linalg.eig(a)
     _refuse_vanishing([i for i in range(len(lam)) if not _scale_to_unit(vecs, i)])

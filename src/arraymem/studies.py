@@ -34,7 +34,7 @@ from . import __version__ as _version
 from . import blas
 from .errors import FitWindowError, InvalidArgumentError, NumericalError
 from .geometry import apply_position_disorder, build_square_array, remove_holes
-from .greens import ISOTROPIC, TWO_LEVEL, interaction_matrix, sector_basis
+from .greens import ISOTROPIC, TWO_LEVEL, InteractionMatrix, sector_basis
 from .modes import DetectionMode, sample_mode
 from .retrieval import EfficiencyMatrix, efficiency_of_spin_wave, k_matrix
 from .spectral import eigendecompose
@@ -103,8 +103,7 @@ def solve(
             raise InvalidArgumentError("a beam without a waist is searched, not solved with dec")
         return optimal_waist(g, mode, model).result
     if dec is None:
-        m = interaction_matrix(g, model)
-        dec = eigendecompose(replace(m, basis=sector_basis(g, model)))
+        dec = eigendecompose(InteractionMatrix(g, model, sector_basis(g, model)))
     if samples is None:
         samples = sample_mode(mode, g, model)
     return k_matrix(dec, samples)

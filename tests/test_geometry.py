@@ -177,3 +177,26 @@ def test_coincident_pair_far_from_origin_is_rejected():
     # leaves 2.4e-7 of roundoff here
     with pytest.raises(SingularGeometryError, match="1.000e-10"):
         pair([8.5485, 9.3585, 0.0], [-1e-10, 0.0, 0.0])
+
+
+def test_lattice_sites_are_checked_against_d_without_a_pair_scan(monkeypatch):
+    def refuse(self):
+        raise AssertionError("pair distances scanned")
+
+    monkeypatch.setattr(Geometry, "min_separation", refuse)
+    g = remove_holes(build_square_array(20, 0.6), [0, 7])
+    with pytest.raises(SingularGeometryError, match="1.000e-10"):
+        build_square_array(3, 1e-10)
+    monkeypatch.undo()
+    assert g.min_separation() == pytest.approx(0.6, rel=1e-12)
+    build_square_array(1, 1e-10)  # a lone atom has no pair
+
+
+def test_an_atom_twice_on_one_site_is_rejected():
+    with pytest.raises(SingularGeometryError):
+        Geometry(
+            positions=np.array([[-0.3, -0.3, 0.0], [-0.3, -0.3, 0.0]]),
+            lattice_constant=0.6,
+            linear_size=2,
+            site_indices=[0, 0],
+        )

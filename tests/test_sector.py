@@ -20,7 +20,8 @@ from arraymem import (
 from arraymem.errors import InvalidArgumentError
 from arraymem.modes import _FIELD_CHUNK
 from arraymem.retrieval import efficiency_of_spin_wave
-from arraymem.greens import COMPONENTS, sector_basis
+from arraymem import greens
+from arraymem.greens import COMPONENTS, InteractionMatrix, sector_basis
 from arraymem import studies
 from field_oracle import detection_field
 from ode_oracle import ControlSchedule, evolve
@@ -56,8 +57,43 @@ def test_basis_is_orthonormal_and_invariant(n, model):
     assert_x_columns(basis, model)
     # M maps the sector into itself
     m = interaction_matrix(g, model).entries
-    residual = np.linalg.norm(m @ q - q @ basis.project(m))
+    residual = np.linalg.norm(m @ q - q @ (q.T @ m @ q))
     assert residual <= 1e-13 * np.linalg.norm(m)
+
+
+@pytest.mark.parametrize("d", (0.1, 0.6, 1.37))
+@pytest.mark.parametrize(
+    "n, model",
+    [(n, model) for model in MODELS for n in (1, 2, 3, 4, 5)]
+    + [(20, TWO_LEVEL), (14, ISOTROPIC)],
+)
+def test_table_sector_matrix_matches_the_pair_path(n, model, d):
+    # N = 1 has empty odd-parity blocks
+    g = build_square_array(n, d)
+    basis = sector_basis(g, model)
+    m = interaction_matrix(g, model).entries
+    want = basis.q.T @ m @ basis.q
+    got = InteractionMatrix(g, model, basis).in_basis()
+    assert np.array_equal(got, got.T)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+class PairMatrixFormed(Exception):
+    pass
+
+
+def test_only_broken_symmetry_forms_the_pair_matrix(monkeypatch):
+    def refuse(*args):
+        raise PairMatrixFormed
+
+    monkeypatch.setattr(greens, "_pair_matrix", refuse)
+    g0 = build_square_array(4, 0.6)
+    mode = DetectionMode(w0=1.2)
+    for model in MODELS:
+        studies.solve(g0, mode, model)
+    for g in (remove_holes(g0, [5]), apply_position_disorder(g0, 0.02, 5)):
+        with pytest.raises(PairMatrixFormed):
+            studies.solve(g, mode)
 
 
 @pytest.mark.parametrize("model", MODELS)

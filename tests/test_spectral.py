@@ -14,13 +14,24 @@ from arraymem import (
     remove_holes,
 )
 from arraymem.errors import DefectiveSpectrumError, InvalidArgumentError
+from arraymem import greens
 from arraymem.greens import InteractionMatrix, sector_basis, whole_space
+
+
+def given(entries) -> InteractionMatrix:
+    """An M given entry by entry, in the whole space: the entries fill the
+    slot that InteractionMatrix.entries caches M in."""
+    basis = whole_space(len(entries), TWO_LEVEL)
+    m = InteractionMatrix(geometry=None, model=TWO_LEVEL, basis=basis)
+    m.__dict__["entries"] = np.asarray(entries)
+    return m
 
 
 def reconstruction_residual(m: InteractionMatrix, dec) -> float:
     """Max-norm of V Lambda V^T - A relative to max |A|, for the matrix A
     that was decomposed, Q^T M Q."""
-    a = dec.basis.project(m.entries)
+    q = dec.basis.q
+    a = q.T @ m.entries @ q
     rebuilt = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.T
     return float(np.max(np.abs(rebuilt - a)) / np.max(np.abs(a)))
 
@@ -71,7 +82,8 @@ def test_identities_across_geometries(geometry, model, in_sector):
     assert dec.completeness_residual < 1e-8
     assert dec.eigenvalues.imag.min() > -1e-10
     # tr Q^T M Q; over the whole space, 0.5j on each of M's rows
-    expected = np.trace(m.basis.project(m.entries)) if in_sector else 0.5j * dec.size
+    q = m.basis.q
+    expected = np.trace(q.T @ m.entries @ q) if in_sector else 0.5j * dec.size
     assert abs(dec.eigenvalues.sum() - expected) < 1e-9 * abs(expected)
     assert reconstruction_residual(m, dec) < 1e-9
 
@@ -106,10 +118,7 @@ def test_decomposition_is_reproducible():
 def test_defective_matrix_raises():
     # symmetric, eigenvalue 0 twice, rank 1: a genuine Jordan block whose
     # lone eigenvector (1, i) has vanishing bilinear norm
-    m = InteractionMatrix(
-        entries=np.array([[1.0 + 0j, 1.0j], [1.0j, -1.0 + 0j]]),
-        basis=whole_space(2, TWO_LEVEL),
-    )
+    m = given(np.array([[1.0 + 0j, 1.0j], [1.0j, -1.0 + 0j]]))
     with pytest.raises(DefectiveSpectrumError) as err:
         eigendecompose(m)
     assert err.value.indices or "defective" in str(err.value).lower()
@@ -126,31 +135,46 @@ def test_near_degenerate_pair_is_reorthogonalized(third):
     a = 0.3 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
     o = scipy.linalg.expm(a - a.T)  # complex orthogonal, o^T o = I
     entries = o @ np.diag([1 + 0.5j, 1 + 5e-10 + 0.5j, third]) @ o.T
-    m = InteractionMatrix(
-        entries=0.5 * (entries + entries.T),
-        basis=whole_space(3, TWO_LEVEL),
-    )
+    m = given(0.5 * (entries + entries.T))
     dec = eigendecompose(m)
     assert dec.bilinear_condition < 1e-12
     assert reconstruction_residual(m, dec) < 1e-13
 
 
 def test_asymmetric_matrix_rejected():
-    m = InteractionMatrix(
-        entries=np.array([[0.5j, 0.1], [0.2, 0.5j]]),
-        basis=whole_space(2, TWO_LEVEL),
-    )
+    m = given(np.array([[0.5j, 0.1], [0.2, 0.5j]]))
     with pytest.raises(InvalidArgumentError):
         eigendecompose(m)
 
 
 def test_nonfinite_matrix_rejected():
-    m = InteractionMatrix(
-        entries=np.array([[0.5j, np.inf], [np.inf, 0.5j]]),
-        basis=whole_space(2, TWO_LEVEL),
-    )
+    m = given(np.array([[0.5j, np.inf], [np.inf, 0.5j]]))
     with pytest.raises(InvalidArgumentError):
         eigendecompose(m)
+
+
+@pytest.mark.parametrize(
+    "bad", [[[0.5j, 0.1], [0.2, 0.5j]], [[0.5j, np.nan], [np.nan, 0.5j]]],
+    ids=["asymmetric", "nonfinite"],
+)
+def test_sector_matrix_is_checked_as_m_is(monkeypatch, bad):
+    g = build_square_array(3, 0.6)
+    monkeypatch.setattr(greens, "_sector_matrix", lambda *args: np.array(bad))
+    with pytest.raises(InvalidArgumentError):
+        eigendecompose(InteractionMatrix(g, TWO_LEVEL, sector_basis(g, TWO_LEVEL)))
+
+
+@pytest.mark.parametrize("model", [TWO_LEVEL, ISOTROPIC])
+def test_nonfinite_coupling_table_rejected(monkeypatch, model):
+    g = build_square_array(3, 0.6)
+
+    def nan_parts(r):
+        nan = np.full(r.shape, np.nan, dtype=complex)
+        return nan, nan
+
+    monkeypatch.setattr(greens, "_scalar_parts", nan_parts)
+    with pytest.raises(InvalidArgumentError, match="coupling table"):
+        eigendecompose(InteractionMatrix(g, model, sector_basis(g, model)))
 
 
 def test_diagnostics_payload():
