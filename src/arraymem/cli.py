@@ -349,18 +349,20 @@ def _cmd_efficiency(config: dict, args) -> int:
 def _cmd_scan_waist(config: dict, args) -> int:
     gc, sc = config["geometry"], config["study"]
     w0_list = np.geomspace(sc["w0_min"], sc["w0_max"], sc["w0_points"])
-    scan = studies.scan_waist(_build_geometry(gc), _mode(config), w0_list, sc["model"])
+    rows = studies.scan_waist(_build_geometry(gc), _mode(config), w0_list, sc["model"])
     try:
-        fit = studies.fit_error_model(scan, gc["d"])
+        fit = studies.fit_error_model(rows)
         fit_doc = {"C": fit.slope, "C_stderr": fit.stderr,
                    "window": fit.window, "residual_norm": fit.residual_norm}
         fit_note = f"C={fit.slope:.3e}"
     except FitWindowError:
         fit_doc, fit_note = None, "C=n/a (no clipping-free window)"
-    path = _write(config, "scan-waist", gc["N"], {"fit": fit_doc, "provenance": scan.provenance},
-                  scan.rows)
-    best = int(np.argmin(scan.epsilon))
-    print(f"min eps={scan.epsilon[best]:.3e} at w0={scan.axis[best]:g} {fit_note} -> {path}")
+    eps = [row["epsilon"] for row in rows]
+    interior_minima = sum(eps[i] < min(eps[i - 1], eps[i + 1]) for i in range(1, len(eps) - 1))
+    body = {"fit": fit_doc, "unimodal": interior_minima <= 1}
+    path = _write(config, "scan-waist", gc["N"], body, rows)
+    best = min(rows, key=lambda row: row["epsilon"])
+    print(f"min eps={best['epsilon']:.3e} at w0={best['w0']:g} {fit_note} -> {path}")
     return 0
 
 
@@ -383,7 +385,7 @@ def _cmd_holes(config: dict, args) -> int:
     )
     path = _write(config, "holes", gc["N"], {
         "alpha": hs.alpha.slope, "alpha_stderr": hs.alpha.stderr,
-        "eta_perfect": hs.eta_perfect, "provenance": hs.provenance,
+        "eta_perfect": hs.eta_perfect, "w0": hs.w0,
     }, hs.rows)
     print(f"alpha={hs.alpha.slope:.4f} (+/- {hs.alpha.stderr:.4f}) -> {path}")
     return 0
@@ -403,7 +405,7 @@ def _cmd_disorder(config: dict, args) -> int:
     except FitWindowError:
         slope, slope_note = None, "n/a"
     path = _write(config, "disorder", gc["N"], {
-        "summary": ds.summary, "loglog_slope": slope, "provenance": ds.provenance,
+        "summary": ds.summary, "loglog_slope": slope, "eta_perfect": ds.eta_perfect, "w0": ds.w0,
     }, ds.rows)
     print(f"slope(log loss vs log sigma)={slope_note} -> {path}")
     return 0

@@ -8,7 +8,7 @@ plane and are centered on the origin, so the focus of the detection beam
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -153,14 +153,11 @@ def remove_holes(g: Geometry, holes) -> Geometry:
         return g
     hole_set = set(int(h) for h in holes)
     keep = np.array([s not in hole_set for s in g.site_indices])
-    return Geometry(
+    return replace(
+        g,
         positions=g.positions[keep],
-        lattice_constant=g.lattice_constant,
-        linear_size=g.linear_size,
         hole_indices=g.hole_indices | frozenset(hole_set),
         site_indices=g.site_indices[keep],
-        sigma=g.sigma,
-        disorder_seed=g.disorder_seed,
     )
 
 
@@ -185,12 +182,5 @@ def apply_position_disorder(g: Geometry, sigma: float, seed: int) -> Geometry:
     if sigma == 0:
         return g
     delta = _site_displacements(g.linear_size, float(sigma), int(seed))
-    return Geometry(
-        positions=g.positions + delta[g.site_indices],
-        lattice_constant=g.lattice_constant,
-        linear_size=g.linear_size,
-        hole_indices=g.hole_indices,
-        site_indices=g.site_indices,
-        sigma=float(sigma),
-        disorder_seed=int(seed),
-    )
+    positions = g.positions + delta[g.site_indices]
+    return replace(g, positions=positions, sigma=float(sigma), disorder_seed=int(seed))

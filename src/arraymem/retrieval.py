@@ -192,7 +192,7 @@ def _check_spin_wave(s, n_atoms: int) -> np.ndarray:
             f"spin wave must have {n_atoms} components, got shape {s.shape}"
         )
     norm_sq = float(np.sum(np.abs(s) ** 2))
-    if abs(norm_sq - 1.0) > NORM_TOL:
+    if not abs(norm_sq - 1.0) <= NORM_TOL:  # a NaN entry fails this, not the > test
         raise InvalidArgumentError(
             f"spin wave must be unit-normalized, |s|^2 = {norm_sq!r}"
         )

@@ -10,6 +10,11 @@ the optimal-waist scaling eps_opt ~ (log N_a)^2 / (4 N_a^2), the hole
 vs isotropic comparison. Every Monte Carlo result is reproducible from
 (config, seed); outputs are plain CSV tables plus JSON summaries.
 
+A result holds only what its study computed: the table's rows, the fits
+drawn from them and, for the Monte Carlo studies, the waist the beam was
+solved at. The inputs are the caller's to record; the command line
+writes them once, as each summary's config.
+
 Each driver takes what it studies: one DetectionMode for the beam, whose
 w0 the waist searches replace, and the geometry itself (scan_waist,
 optimal_waist) or the (N, d) of the perfect lattice that a Monte Carlo
@@ -30,7 +35,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import erf
 
-from . import __version__ as _version
 from . import blas
 from .errors import FitWindowError, InvalidArgumentError, NumericalError
 from .geometry import apply_position_disorder, build_square_array, remove_holes
@@ -42,24 +46,6 @@ from .spectral import eigendecompose
 DEFAULT_C_SEED = 2.4e-3
 DEFAULT_SEED = 12345
 W0_TOL = 1e-3  # width of the golden-section bracket at which the waist search stops
-
-
-@dataclass
-class ScanResult:
-    """One study axis with per-point efficiencies and provenance."""
-
-    axis: list
-    epsilon: list
-    rows: list
-    provenance: dict
-
-    def __post_init__(self):
-        ax = np.asarray(self.axis, dtype=float)
-        if len(ax) > 1 and not np.all(np.diff(ax) > 0):
-            raise InvalidArgumentError("scan axis must be strictly increasing")
-        for e in self.epsilon:
-            if not (-1e-9 <= e <= 1.0 + 1e-9):
-                raise InvalidArgumentError(f"error {e!r} outside [0, 1]")
 
 
 @dataclass
@@ -109,46 +95,33 @@ def solve(
     return k_matrix(dec, samples)
 
 
-def scan_waist(g, mode: DetectionMode, w0_list, model: str = TWO_LEVEL) -> ScanResult:
-    """Minimum retrieval error of geometry g for each waist of the beam mode."""
+def scan_waist(g, mode: DetectionMode, w0_list, model: str = TWO_LEVEL) -> list:
+    """Minimum retrieval error of geometry g for each waist of the beam
+    mode: one row per waist, with the clipping term the fit subtracts."""
     w0_list = [float(w) for w in w0_list]
-    if any(w <= 0 for w in w0_list) or any(b <= a for a, b in zip(w0_list, w0_list[1:])):
-        raise InvalidArgumentError("w0_list must be positive and strictly increasing")
+    if not all(0 < w < np.inf for w in w0_list) or any(
+        b <= a for a, b in zip(w0_list, w0_list[1:])
+    ):
+        raise InvalidArgumentError("w0_list must be finite, positive and strictly increasing")
     n, d = g.linear_size, g.lattice_constant
     dec = None
     rows = []
     for w0 in w0_list:
         res = solve(g, replace(mode, w0=w0), model, dec=dec)
         dec, sol = res.dec, res.solution
+        eps = 1.0 - sol.eta_max
+        if not -1e-9 <= eps <= 1.0 + 1e-9:
+            raise InvalidArgumentError(f"error {eps!r} outside [0, 1]")
         rows.append(
             {
                 "w0": w0,
                 "eta": sol.eta_max,
-                "epsilon": 1.0 - sol.eta_max,
+                "epsilon": eps,
                 "clip_term": float(clipping_error(n, d, w0)),
                 "spectral_gap": sol.diagnostics["spectral_gap"],
             }
         )
-    eps = [row["epsilon"] for row in rows]
-    interior_minima = sum(
-        1
-        for i in range(1, len(eps) - 1)
-        if eps[i] < eps[i - 1] and eps[i] < eps[i + 1]
-    )
-    return ScanResult(
-        axis=w0_list,
-        epsilon=eps,
-        rows=rows,
-        provenance={
-            "N": n,
-            "d": d,
-            "model": model,
-            "two_sided": mode.two_sided,
-            "tol": mode.quadrature_tolerance,
-            "unimodal": interior_minima <= 1,
-            "version": _version,
-        },
-    )
+    return rows
 
 
 def _fit_through_origin(x, y, window: dict) -> FitResult:
@@ -162,16 +135,16 @@ def _fit_through_origin(x, y, window: dict) -> FitResult:
     )
 
 
-def fit_error_model(scan: ScanResult, d: float) -> FitResult:
-    """Least-squares C (the slope) with the exponent pinned at 4.
+def fit_error_model(rows) -> FitResult:
+    """Least-squares C (the slope) with the exponent pinned at 4, from the
+    w0, epsilon and clip_term columns of scan_waist's rows.
 
     Only points where the clipping term stays below 10% of the measured
     error enter the fit; the window is recorded explicitly.
     """
-    n = scan.provenance["N"]
-    w0 = np.asarray(scan.axis, dtype=float)
-    eps = np.asarray(scan.epsilon, dtype=float)
-    clip = clipping_error(n, d, w0)
+    w0, eps, clip = (
+        np.array([row[key] for row in rows], dtype=float) for key in ("w0", "epsilon", "clip_term")
+    )
     mask = clip < 0.1 * eps
     if not np.any(mask):
         raise FitWindowError("no scan points with clipping below 10% of the error")
@@ -213,10 +186,10 @@ class OptimalWaist:
         return self.result.solution.spin_wave
 
 
-def _model_seed_waist(n: int, d: float, c: float = DEFAULT_C_SEED) -> float:
+def _model_seed_waist(n: int, d: float) -> float:
     """Analytic-model minimizer used to seed the bracketed search."""
     grid = np.geomspace(0.25, max(1.5 * n * d, 1.0), 300)
-    return float(grid[np.argmin(model_error(n, d, grid, c))])
+    return float(grid[np.argmin(model_error(n, d, grid))])
 
 
 def optimal_waist(g, mode: DetectionMode, model: str = TWO_LEVEL) -> OptimalWaist:
@@ -257,7 +230,6 @@ def optimal_waist(g, mode: DetectionMode, model: str = TWO_LEVEL) -> OptimalWais
             fb = eps_of(b)
         mid = np.sqrt(a * b)
         fm = eps_of(mid)
-        seed = mid
         grow += 1
     if not (fm < fa and fm < fb):
         # no clean bracket: fall back to a fine grid scan
@@ -265,7 +237,7 @@ def optimal_waist(g, mode: DetectionMode, model: str = TWO_LEVEL) -> OptimalWais
         for w in np.geomspace(a, b, 80):
             eps_of(w)
     else:
-        # golden-section contraction of [a, b] around the seed
+        # golden-section contraction of [a, b]
         invphi = (np.sqrt(5.0) - 1.0) / 2.0
         lo, hi = a, b
         x1 = hi - invphi * (hi - lo)
@@ -351,7 +323,7 @@ class HoleStudy:
     rows: list
     alpha: FitResult  # rel_loss = alpha * intensity_fraction
     eta_perfect: float
-    provenance: dict
+    w0: float  # the beam's waist, on every lattice
 
 
 def hole_study(
@@ -412,21 +384,7 @@ def hole_study(
     fit = _fit_through_origin(
         np.asarray(xs), np.asarray(ys), {"intercept": 0.0, "pooled_samples": len(xs)}
     )
-    return HoleStudy(
-        rows=rows,
-        alpha=fit,
-        eta_perfect=eta0,
-        provenance={
-            "N": n,
-            "d": d,
-            "w0": samples0.w0,
-            "hole_counts": hole_counts,
-            "n_samples": n_samples,
-            "seed": seed,
-            "tol": mode.quadrature_tolerance,
-            "version": _version,
-        },
-    )
+    return HoleStudy(rows=rows, alpha=fit, eta_perfect=eta0, w0=samples0.w0)
 
 
 def _disorder_task(args):
@@ -439,7 +397,8 @@ def _disorder_task(args):
 class DisorderStudy:
     rows: list
     summary: list
-    provenance: dict
+    eta_perfect: float
+    w0: float  # the beam's waist, on every configuration
 
 
 def position_disorder_study(
@@ -460,8 +419,8 @@ def position_disorder_study(
     """
     sigma_list = [float(s) for s in sigma_list]
     _check_study_size(sigma_list, n_samples, "sigma_list")
-    if any(s <= 0 for s in sigma_list) or sorted(sigma_list) != sigma_list:
-        raise InvalidArgumentError("sigma_list must be positive and sorted")
+    if not all(0 < s < np.inf for s in sigma_list) or sorted(sigma_list) != sigma_list:
+        raise InvalidArgumentError("sigma_list must be finite, positive and sorted")
     res0 = solve(build_square_array(n, d), mode)
     mode = replace(mode, w0=res0.samples.w0)
     eta0, spin = res0.eta, res0.solution.spin_wave
@@ -487,21 +446,7 @@ def position_disorder_study(
         }
         for sigma, vals in zip(sigma_list, etas)
     ]
-    return DisorderStudy(
-        rows=rows,
-        summary=summary,
-        provenance={
-            "N": n,
-            "d": d,
-            "w0": mode.w0,
-            "eta_perfect": eta0,
-            "sigma_list": sigma_list,
-            "n_samples": n_samples,
-            "seed": seed,
-            "tol": mode.quadrature_tolerance,
-            "version": _version,
-        },
-    )
+    return DisorderStudy(rows=rows, summary=summary, eta_perfect=eta0, w0=mode.w0)
 
 
 def isotropic_comparison(n_list, d: float, mode: DetectionMode) -> list:

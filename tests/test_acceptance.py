@@ -59,8 +59,8 @@ def test_criterion_1_four_by_four_benchmark():
 
 
 def test_criterion_2_power_law_slope(scan20):
-    w0 = np.asarray(scan20.axis)
-    eps = np.asarray(scan20.epsilon)
+    w0 = np.array([row["w0"] for row in scan20])
+    eps = np.array([row["epsilon"] for row in scan20])
     clip = studies.clipping_error(20, 0.6, w0)
     mask = clip < 0.1 * eps
     slope = studies.loglog_slope(w0[mask], eps[mask])
@@ -74,7 +74,7 @@ def test_criterion_2_power_law_slope(scan20):
 
 
 def test_criterion_3_fit_constant(scan20):
-    fit = studies.fit_error_model(scan20, 0.6)
+    fit = studies.fit_error_model(scan20)
     c = fit.slope
     ok = 1.6e-3 <= c <= 3.6e-3
     report(3, "fit constant", ok, f"C(0.6)={c:.3e} (want within [1.6, 3.6]e-3)")
@@ -96,8 +96,8 @@ def test_criterion_5_clipping_regime():
     details = []
     ok = True
     for n, w0_list in ((10, [2.8, 3.4, 4.2, 5.0]), (20, [5.5, 6.5, 8.0])):
-        scan = studies.scan_waist(build_square_array(n, 0.6), BEAM, w0_list)
-        for w0, eps in zip(scan.axis, scan.epsilon):
+        for row in studies.scan_waist(build_square_array(n, 0.6), BEAM, w0_list):
+            w0, eps = row["w0"], row["epsilon"]
             clip = float(studies.clipping_error(n, 0.6, w0))
             # quartic-term dominance check (10:1) with the fitted constant
             assert clip > 10.0 * studies.DEFAULT_C_SEED / w0**4

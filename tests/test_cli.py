@@ -106,7 +106,41 @@ def test_holes_without_a_waist_use_the_perfect_lattice_optimum(tmp_path, capsys)
     assert run(argv + ["--out", str(tmp_path), "--no-timestamp"], capsys)[0] == 0
     doc = json.loads((tmp_path / "holes_4_0.6.json").read_text())
     assert doc["config"]["mode"]["w0"] is None
-    assert doc["provenance"]["w0"] == studies.optimal_waist(build_square_array(4, 0.6), BEAM).w0
+    assert doc["w0"] == studies.optimal_waist(build_square_array(4, 0.6), BEAM).w0
+
+
+# command -> (its flags at desk-test size, the summary's keys besides config and version)
+SUMMARIES = {
+    "efficiency": (["--N", "3"], {"solution"}),
+    "scan-waist": (["--N", "3", "--w0-points", "3"], {"csv", "fit", "unimodal"}),
+    "optimal-waist": (["--N", "3"],
+                      {"w0_opt", "epsilon_opt", "eta", "n_evaluations", "bracket_fallback"}),
+    "holes": (["--N", "4", "--hole-counts", "1", "--samples", "2"],
+              {"csv", "alpha", "alpha_stderr", "eta_perfect", "w0"}),
+    "disorder": (["--N", "3", "--sigma-list", "0.01", "--samples", "2"],
+                 {"csv", "summary", "loglog_slope", "eta_perfect", "w0"}),
+    "finite-time": (["--N", "3"], {"csv", "w0", "eta_infinite", "final"}),
+    "isotropic": (["--N-list", "3"], {"csv", "rows"}),
+}
+
+
+@pytest.mark.parametrize("command", list(SUMMARIES))
+def test_summary_holds_the_config_once_and_what_was_computed(tmp_path, capsys, command):
+    flags, keys = SUMMARIES[command]
+
+    def summary(*extra):
+        out = tmp_path / ("given" if extra else "default")
+        argv = [command, *flags, *extra, "--workers", "1", "--out", str(out), "--no-timestamp"]
+        assert run(argv, capsys)[0] == 0
+        (path,) = out.glob("*.json")
+        return json.loads(path.read_text())
+
+    doc = summary()
+    assert set(doc) == {"config", "version", *keys}
+    if "w0" in keys:  # the waist the beam was solved at: the searched one, or the one given
+        n = doc["config"]["geometry"]["N"]
+        assert doc["w0"] == studies.optimal_waist(build_square_array(n, 0.6), BEAM).w0
+        assert summary("--w0", "1.1")["w0"] == 1.1
 
 
 def test_summary_records_only_the_settings_the_command_takes(tmp_path, capsys):
@@ -226,7 +260,7 @@ def test_disorder_honors_config_file_waist(tmp_path, capsys):
     )
     assert code == 0
     doc = json.loads((tmp_path / "disorder_4_0.6.json").read_text())
-    assert doc["provenance"]["w0"] == 1.3
+    assert doc["w0"] == 1.3
 
 
 def test_finite_time_command(tmp_path, capsys, monkeypatch):
@@ -502,7 +536,7 @@ def test_disorder_one_sided_scores_against_the_one_sided_optimum(tmp_path, capsy
     doc = json.loads((tmp_path / "disorder_4_0.6.json").read_text())
     one_sided = DetectionMode(w0=1.5, two_sided=False)
     opt = studies.optimal_waist(build_square_array(4, 0.6), one_sided)
-    assert doc["provenance"]["eta_perfect"] == opt.eta
+    assert doc["eta_perfect"] == opt.eta
     assert abs(doc["summary"][0]["loss_mean"]) < 1e-6
 
 

@@ -192,6 +192,8 @@ def test_finite_time_requires_positive_window(array_3x3):
     for t_d in (0.0, np.nan, np.inf):
         with pytest.raises(InvalidArgumentError):
             eta_finite_time(mat, sol.spin_wave, t_d)
+    with pytest.raises(InvalidArgumentError):  # and a finite spin wave
+        eta_finite_time(mat, np.full(9, np.nan), 1.0)
 
 
 def test_trajectory_csv_rows(array_3x3):

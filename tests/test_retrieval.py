@@ -118,6 +118,9 @@ def test_spin_wave_norm_enforced():
         efficiency_of_spin_wave(mat, np.ones(4, dtype=complex))
     with pytest.raises(InvalidArgumentError):
         efficiency_of_spin_wave(mat, np.ones(3, dtype=complex) / np.sqrt(3))
+    for bad in (np.nan, np.inf):  # a NaN norm passes a > tolerance test
+        with pytest.raises(InvalidArgumentError):
+            efficiency_of_spin_wave(mat, np.array([bad, 0.0, 0.0, 0.0]))
 
 
 def test_optimum_has_lattice_mirror_symmetry_on_10x10():

@@ -35,9 +35,17 @@ def eta_at(geometry, w0):
     return max_efficiency(k_matrix(dec, samples))
 
 
+def scan_rows(n, d, w0s, eps):
+    """Scan rows as scan_waist writes them, for a given error curve."""
+    return [
+        {"w0": w0, "epsilon": e, "clip_term": float(studies.clipping_error(n, d, w0))}
+        for w0, e in zip(w0s, eps)
+    ]
+
+
 def test_single_atom_error_grows_with_waist():
-    scan = studies.scan_waist(build_square_array(1, 0.6), BEAM, [1.0, 1.5, 2.0, 3.0, 4.0])
-    assert all(np.diff(scan.epsilon) > 0)
+    rows = studies.scan_waist(build_square_array(1, 0.6), BEAM, [1.0, 1.5, 2.0, 3.0, 4.0])
+    assert all(np.diff([row["epsilon"] for row in rows]) > 0)
 
 
 def test_scan_waist_rejects_bad_axis(monkeypatch):
@@ -47,7 +55,8 @@ def test_scan_waist_rejects_bad_axis(monkeypatch):
 
     monkeypatch.setattr(studies, "solve", unused)
     g = build_square_array(3, 0.6)
-    for w0_list in ([2.0, 1.0], [-1.0, 1.0], [2.0, 2.0, 2.0, 2.0]):
+    bad = ([2.0, 1.0], [-1.0, 1.0], [2.0, 2.0, 2.0, 2.0], [1.0, np.nan], [1.0, np.inf])
+    for w0_list in bad:
         with pytest.raises(InvalidArgumentError, match="strictly increasing"):
             studies.scan_waist(g, BEAM, w0_list)
 
@@ -56,13 +65,7 @@ def test_synthetic_fit_recovers_constant():
     w0s = list(np.geomspace(1.2, 4.0, 12))
     true_c = 1.9e-3
     eps = studies.model_error(20, 0.6, np.array(w0s), c=true_c)
-    scan = studies.ScanResult(
-        axis=w0s,
-        epsilon=list(eps),
-        rows=[],
-        provenance={"N": 20, "d": 0.6},
-    )
-    fit = studies.fit_error_model(scan, 0.6)
+    fit = studies.fit_error_model(scan_rows(20, 0.6, w0s, eps))
     assert fit.slope == pytest.approx(true_c, abs=1e-6 * true_c)
 
 
@@ -73,13 +76,7 @@ def test_fit_window_excluding_crossover_fits_better():
     n, d, true_c = 12, 0.6, 2.0e-3
     clip = studies.clipping_error(n, d, w0s)
     eps = true_c / w0s**4 + clip + 0.3 * np.sqrt((true_c / w0s**4) * clip)
-    scan = studies.ScanResult(
-        axis=list(w0s),
-        epsilon=list(eps),
-        rows=[],
-        provenance={"N": n, "d": d},
-    )
-    fit = studies.fit_error_model(scan, d)
+    fit = studies.fit_error_model(scan_rows(n, d, w0s, eps))
     mask = clip < 0.1 * eps
     x_all = 1.0 / w0s**4
     y_all = eps - clip
@@ -92,14 +89,8 @@ def test_fit_window_excluding_crossover_fits_better():
 def test_fit_requires_clipping_free_points():
     w0s = [5.0, 6.0, 8.0]
     eps = studies.clipping_error(4, 0.6, np.array(w0s)) * 1.05
-    scan = studies.ScanResult(
-        axis=w0s,
-        epsilon=list(eps),
-        rows=[],
-        provenance={"N": 4, "d": 0.6},
-    )
     with pytest.raises(FitWindowError):
-        studies.fit_error_model(scan, 0.6)
+        studies.fit_error_model(scan_rows(4, 0.6, w0s, eps))
 
 
 @pytest.mark.parametrize(
@@ -250,8 +241,9 @@ def test_samples_do_not_depend_on_the_bessel_table_memo(monkeypatch):
 
 
 def test_scan_is_unimodal_around_optimum():
-    scan = studies.scan_waist(build_square_array(4, 0.6), BEAM, list(np.geomspace(0.5, 2.0, 9)))
-    assert scan.provenance["unimodal"]
+    rows = studies.scan_waist(build_square_array(4, 0.6), BEAM, list(np.geomspace(0.5, 2.0, 9)))
+    eps = [row["epsilon"] for row in rows]
+    assert sum(eps[i] < min(eps[i - 1], eps[i + 1]) for i in range(1, len(eps) - 1)) <= 1
 
 
 def test_zero_holes_loss_is_exactly_zero():
@@ -301,6 +293,16 @@ def test_monte_carlo_studies_refuse_an_empty_study(monkeypatch, study, axis, n_s
     monkeypatch.setattr(studies, "solve", unused)
     with pytest.raises(InvalidArgumentError, match="empty|positive"):
         study(3, 0.6, DetectionMode(w0=1.2), axis, n_samples)
+
+
+@pytest.mark.parametrize("sigma", [np.nan, np.inf])
+def test_disorder_study_refuses_a_non_finite_sigma_before_solving(monkeypatch, sigma):
+    def unused(*args, **kwargs):
+        raise AssertionError("solved a rejected sigma list")
+
+    monkeypatch.setattr(studies, "solve", unused)
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        studies.position_disorder_study(3, 0.6, DetectionMode(w0=1.2), [0.01, sigma], 2)
 
 
 def test_sigma_zero_disorder_loss_is_exactly_zero():
