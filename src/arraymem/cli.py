@@ -21,7 +21,7 @@ Config file schema (all keys optional, defaults shown):
 
     {
       "geometry": {"N": 10, "d": 0.6, "holes": [], "sigma": 0.0, "seed": 12345},
-      "mode":     {"w0": null, "two_sided": true, "tol": 1e-10},
+      "mode":     {"w0": null, "two_sided": true},
       "study":    {"w0_min": 1.0, "w0_max": 4.0, "w0_points": 12,
                    "hole_counts": [1, ..., 20], "sigma_list": [...],
                    "n_samples": 100, "seed": 12345, "Td": 10.0,
@@ -126,8 +126,6 @@ _SETTINGS = (
     _Setting("mode.two_sided", True, bool, flags={
         "--two-sided": dict(action="store_true"), "--one-sided": dict(action="store_false")},
         commands=_SOLVING),
-    _Setting("mode.tol", 1e-10, (int, float), lambda v: 0 < v <= 1e-6, "tol must be in (0, 1e-6]",
-             {"--tol": dict(type=float, help="quadrature tolerance")}),
     _Setting("study.model", TWO_LEVEL, str, lambda v: v in (TWO_LEVEL, ISOTROPIC),
              f"model must be {TWO_LEVEL!r} or {ISOTROPIC!r}",
              {"--model": dict(choices=[TWO_LEVEL, ISOTROPIC])}, _GEOMETRY),
@@ -245,7 +243,8 @@ def _validate_config(config: dict) -> None:
         entries = value if isinstance(value, list) else [value]
         if any(isinstance(v, float) and not np.isfinite(v) for v in entries):
             raise ConfigError(f"config error at {s.key}: numbers must be finite, got {value!r}")
-        bool_as_number = isinstance(value, bool) and s.types is not bool
+        # a JSON boolean is a Python int: true passes as 1, alone or in a list
+        bool_as_number = s.types is not bool and any(isinstance(v, bool) for v in entries)
         if bool_as_number or (s.check is not None and not s.check(value)):
             raise ConfigError(f"config error at {s.key}: {s.message}")
 
@@ -300,8 +299,7 @@ def _build_geometry(gc: dict):
 
 
 def _mode(config: dict) -> DetectionMode:
-    mc = config["mode"]
-    return DetectionMode(w0=mc["w0"], two_sided=mc["two_sided"], quadrature_tolerance=mc["tol"])
+    return DetectionMode(**config["mode"])
 
 
 def _workers(config: dict) -> int:

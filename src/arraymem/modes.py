@@ -13,7 +13,8 @@ two Bessel-kernel integrals over b = k_t/k0 in [0, 1]:
 
 Both are evaluated with the substitution b = sin(theta), which removes the
 endpoint singularity of the E^z kernel, followed by Gauss-Legendre
-quadrature with node doubling until the requested tolerance is met.
+quadrature with node doubling until successive levels agree to
+QUADRATURE_TOL.
 """
 
 from __future__ import annotations
@@ -32,29 +33,26 @@ _PANEL_ORDER = 32
 _MAX_PANELS = 1 << 10
 _NORM_MAX_PANELS = 1 << 8
 _FIELD_CHUNK = 512
+QUADRATURE_TOL = 1e-10  # largest change of a field value between the last two levels
 
 _base_x, _base_w = np.polynomial.legendre.leggauss(_PANEL_ORDER)
-_panel_cache: dict = {}
 
 
+@functools.lru_cache(maxsize=None)
 def _gl_rule(n_panels: int):
     """Composite Gauss-Legendre rule on theta in [0, pi/2].
 
     Fixed 32-point rule per panel; refinement doubles the panel count, so
     node construction stays O(n) and oscillatory integrands are resolved
-    panel by panel.
+    panel by panel. Cached: the panel counts are powers of two up to
+    _MAX_PANELS.
     """
-    rule = _panel_cache.get(n_panels)
-    if rule is None:
-        edges = np.linspace(0.0, np.pi / 2.0, n_panels + 1)
-        mid = (edges[1:] + edges[:-1]) / 2.0
-        half = (edges[1:] - edges[:-1]) / 2.0
-        theta = (mid[:, None] + half[:, None] * _base_x[None, :]).ravel()
-        weights = (half[:, None] * _base_w[None, :]).ravel()
-        rule = (theta, weights)
-        if n_panels <= 64:
-            _panel_cache[n_panels] = rule
-    return rule
+    edges = np.linspace(0.0, np.pi / 2.0, n_panels + 1)
+    mid = (edges[1:] + edges[:-1]) / 2.0
+    half = (edges[1:] - edges[:-1]) / 2.0
+    theta = (mid[:, None] + half[:, None] * _base_x[None, :]).ravel()
+    weights = (half[:, None] * _base_w[None, :]).ravel()
+    return theta, weights
 
 
 def _start_panels(max_arg: float) -> int:
@@ -65,7 +63,7 @@ def _start_panels(max_arg: float) -> int:
     return n
 
 
-def _field_block(w0, rho, z, tol, flux_weight, tables):
+def _field_block(w0, rho, z, flux_weight, tables):
     """Adaptive evaluation of (E^x, g) on a batch of (rho, z) points.
 
     g is the azimuth-free part of the z-component: E^z = -i (x/rho) g.
@@ -98,12 +96,12 @@ def _field_block(w0, rho, z, tol, flux_weight, tables):
                 np.max(np.abs(ex - prev[0]), initial=0.0),
                 np.max(np.abs(g - prev[1]), initial=0.0),
             )
-            if err <= tol:
+            if err <= QUADRATURE_TOL:
                 return ex, g
         prev = (ex, g)
         n *= 2
     raise NumericalError(
-        f"field quadrature did not converge below {tol:g} "
+        f"field quadrature did not converge below {QUADRATURE_TOL:g} "
         f"with {_MAX_PANELS * _PANEL_ORDER} nodes",
         achieved=err,
     )
@@ -114,7 +112,7 @@ def _field_block(w0, rho, z, tol, flux_weight, tables):
 _last_points: tuple = ()
 
 
-def _field_components(w0, rho, z, tol, flux_weight=False):
+def _field_components(w0, rho, z, flux_weight=False):
     """Chunked wrapper around _field_block, run once per distinct (rho, z).
 
     The fields depend on the point only through (rho, z), which a centred
@@ -135,14 +133,14 @@ def _field_components(w0, rho, z, tol, flux_weight=False):
     for lo in range(0, len(points), _FIELD_CHUNK):
         sl = slice(lo, lo + _FIELD_CHUNK)
         ex[sl], g[sl] = _field_block(
-            w0, points[sl, 0], points[sl, 1], tol, flux_weight, tables.setdefault(lo, {})
+            w0, points[sl, 0], points[sl, 1], flux_weight, tables.setdefault(lo, {})
         )
     return ex[inverse], g[inverse]
 
 
 @dataclass
 class DetectionMode:
-    """Detection beam: waist, sidedness, quadrature tolerance.
+    """Detection beam: its waist and its detected sides.
 
     The beam has unit amplitude: eta does not depend on it.
 
@@ -157,12 +155,10 @@ class DetectionMode:
 
     w0: float | None
     two_sided: bool = True
-    quadrature_tolerance: float = 1e-10
 
     def __post_init__(self):
         if self.w0 is not None and not 0 < self.w0 < np.inf:
             raise InvalidArgumentError(f"beam waist must be positive and finite, got {self.w0!r}")
-        _check_tolerance(self.quadrature_tolerance)
 
 
 def _waist(m: DetectionMode) -> float:
@@ -172,18 +168,11 @@ def _waist(m: DetectionMode) -> float:
     return m.w0
 
 
-def _check_tolerance(tol):
-    if not (0.0 < tol <= 1e-6):
-        raise InvalidArgumentError(
-            f"quadrature tolerance must be in (0, 1e-6], got {tol!r}"
-        )
-
-
 def _field_vectors(m: DetectionMode, pos: np.ndarray, c: int) -> np.ndarray:
     """The first c components of (E^x, 0, E^z) of the +z beam at each row
     of pos, one quadrature batch."""
     rho = np.hypot(pos[:, 0], pos[:, 1])
-    ex, g = _field_components(_waist(m), rho, pos[:, 2], m.quadrature_tolerance)
+    ex, g = _field_components(_waist(m), rho, pos[:, 2])
     ez = np.zeros_like(ex)  # J1(0) = 0 on the axis
     off_axis = rho != 0.0
     ez[off_axis] = -1j * (pos[off_axis, 0] / rho[off_axis]) * g[off_axis]

@@ -214,17 +214,13 @@ def efficiency_of_spin_wave(mat: EfficiencyMatrix, s) -> float:
     return float(mat.prefactor * np.real(a @ (mat.w @ a.conj())))
 
 
-def solution_to_dict(
-    sol: RetrievalSolution, w0: float, geometry_json: str | None = None
-) -> dict:
-    """JSON-ready export of a retrieval solution."""
-    doc = {
+def solution_to_dict(sol: RetrievalSolution, w0: float, geometry_json: str) -> dict:
+    """JSON-ready export of a retrieval solution and the geometry it solves."""
+    return {
         "eta_max": sol.eta_max,
         "epsilon": 1.0 - sol.eta_max,
         "w0": w0,
         "spin_wave": [[float(c.real), float(c.imag)] for c in sol.spin_wave],
         "diagnostics": sol.diagnostics,
+        "geometry": geometry_json,
     }
-    if geometry_json is not None:
-        doc["geometry"] = geometry_json
-    return doc

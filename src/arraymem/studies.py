@@ -50,12 +50,13 @@ W0_TOL = 1e-3  # width of the golden-section bracket at which the waist search s
 
 @dataclass
 class FitResult:
-    """Least-squares slope through the origin, over the points in window."""
+    """Least-squares slope through the origin; window names the points
+    fitted when the fit chose them from a larger table."""
 
     slope: float
     stderr: float
-    window: dict
     residual_norm: float
+    window: dict | None = None
 
 
 def clipping_error(n: int, d: float, w0) -> np.ndarray:
@@ -124,14 +125,14 @@ def scan_waist(g, mode: DetectionMode, w0_list, model: str = TWO_LEVEL) -> list:
     return rows
 
 
-def _fit_through_origin(x, y, window: dict) -> FitResult:
+def _fit_through_origin(x, y, window: dict | None = None) -> FitResult:
     """Least-squares slope of y = slope * x, with its standard error."""
     sxx = np.sum(x * x)
     slope = float(np.sum(x * y) / sxx)
     resid = y - slope * x
     stderr = float(np.sqrt(np.sum(resid**2) / max(len(x) - 1, 1) / sxx))
     return FitResult(
-        slope=slope, stderr=stderr, window=window, residual_norm=float(np.linalg.norm(resid))
+        slope=slope, stderr=stderr, residual_norm=float(np.linalg.norm(resid)), window=window
     )
 
 
@@ -180,10 +181,6 @@ class OptimalWaist:
     @property
     def epsilon(self) -> float:
         return 1.0 - self.eta
-
-    @property
-    def spin_wave(self) -> np.ndarray:
-        return self.result.solution.spin_wave
 
 
 def _model_seed_waist(n: int, d: float) -> float:
@@ -342,6 +339,8 @@ def hole_study(
     the defect constant alpha. Every holed lattice sees the beam of the
     perfect one, at the perfect lattice's best waist when mode has none.
     """
+    if not all(isinstance(h, (int, np.integer)) and not isinstance(h, bool) for h in hole_counts):
+        raise InvalidArgumentError(f"hole counts must be integers, got {list(hole_counts)!r}")
     hole_counts = [int(h) for h in hole_counts]
     _check_study_size(hole_counts, n_samples, "hole_counts")
     if any(h < 1 or h > 0.2 * n * n for h in hole_counts):
@@ -352,39 +351,25 @@ def hole_study(
     total_intensity = float(weights.sum())
 
     rng = np.random.default_rng(seed)
-    tasks = []
-    meta = []
-    for n_holes in hole_counts:
-        for k in range(n_samples):
-            holes = tuple(
-                sorted(int(v) for v in rng.choice(n * n, size=n_holes, replace=False))
-            )
-            tasks.append((n, d, holes, samples0))
-            meta.append((n_holes, k, holes))
-    etas = _run_tasks(_hole_task, tasks, workers)
-
-    rows = []
-    xs = []
-    ys = []
-    for (n_holes, k, holes), eta_def in zip(meta, etas):
-        frac = float(weights[list(holes)].sum() / total_intensity)
-        rel_loss = (eta0 - eta_def) / eta0
-        xs.append(frac)
-        ys.append(rel_loss)
-        rows.append(
-            {
-                "n_holes": n_holes,
-                "sample": k,
-                "holes": " ".join(str(h) for h in holes),
-                "intensity_fraction": frac,
-                "eta_def": eta_def,
-                "rel_loss": rel_loss,
-            }
-        )
-    fit = _fit_through_origin(
-        np.asarray(xs), np.asarray(ys), {"intercept": 0.0, "pooled_samples": len(xs)}
-    )
-    return HoleStudy(rows=rows, alpha=fit, eta_perfect=eta0, w0=samples0.w0)
+    draws = [
+        (n_holes, k, tuple(sorted(int(v) for v in rng.choice(n * n, size=n_holes, replace=False))))
+        for n_holes in hole_counts
+        for k in range(n_samples)
+    ]
+    etas = _run_tasks(_hole_task, [(n, d, holes, samples0) for _, _, holes in draws], workers)
+    rows = [
+        {
+            "n_holes": n_holes,
+            "sample": k,
+            "holes": " ".join(str(h) for h in holes),
+            "intensity_fraction": float(weights[list(holes)].sum() / total_intensity),
+            "eta_def": eta_def,
+            "rel_loss": (eta0 - eta_def) / eta0,
+        }
+        for (n_holes, k, holes), eta_def in zip(draws, etas)
+    ]
+    x, y = (np.array([row[key] for row in rows]) for key in ("intensity_fraction", "rel_loss"))
+    return HoleStudy(rows=rows, alpha=_fit_through_origin(x, y), eta_perfect=eta0, w0=samples0.w0)
 
 
 def _disorder_task(args):

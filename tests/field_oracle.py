@@ -73,7 +73,6 @@ def validate_projection(
         )
     if radius is None:
         radius = 40.0 * _waist(m)
-    tol = m.quadrature_tolerance
 
     closed = (0.5j / K0) * np.vdot(detection_field(m, r_d), dvec)
     scale = np.linalg.norm(detection_field(m, np.zeros(3))) / (2.0 * K0)
@@ -87,9 +86,7 @@ def validate_projection(
         half = (edges[1:] - edges[:-1]) / 2.0
         rho = (mid[:, None] + half[:, None] * x[None, :]).ravel()
         w_rho = (half[:, None] * w[None, :]).ravel()
-        ex, gz = _field_components(
-            m.w0, rho, np.full_like(rho, plane_z), tol, flux_weight=True
-        )
+        ex, gz = _field_components(m.w0, rho, np.full_like(rho, plane_z), flux_weight=True)
         phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
         w_phi = 2.0 * np.pi / n_phi
         total = 0.0 + 0.0j

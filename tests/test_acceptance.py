@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 pass/fail lines. Criterion 6, the 2,000-configuration hole regression,
-took 29–37 s on 2 cores; everything here is deterministic (fixed
+took 22–24 s on 2 cores; everything here is deterministic (fixed
 seeds).
 """
 
@@ -156,7 +156,7 @@ def test_criterion_8_finite_detection(optima):
     g = build_square_array(10, 0.6)
     dec = eigendecompose(interaction_matrix(g))
     samples = sample_mode(DetectionMode(w0=opt.w0), g)
-    eta_td = eta_finite_time(k_matrix(dec, samples), opt.spin_wave, 10.0)
+    eta_td = eta_finite_time(k_matrix(dec, samples), opt.result.solution.spin_wave, 10.0)
     rel = 1.0 - eta_td / opt.eta
     ok = rel <= 3e-3
     report(

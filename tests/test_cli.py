@@ -59,6 +59,41 @@ def test_rejects_type_mismatch(tmp_path, capsys):
     assert "mode.w0" in err
 
 
+@pytest.mark.parametrize(
+    "config, argv, key",
+    [
+        ({"geometry": {"N": True}}, ["efficiency", "--w0", "1.2"], "geometry.N"),
+        ({"geometry": {"holes": [True]}}, ["efficiency", "--N", "3", "--w0", "1.2"],
+         "geometry.holes"),
+        ({"study": {"hole_counts": [True]}},
+         ["holes", "--N", "3", "--w0", "1.2", "--samples", "1"], "study.hole_counts"),
+    ],
+    ids=["N", "holes", "hole_counts"],
+)
+def test_config_booleans_are_not_numbers(tmp_path, capsys, config, argv, key):
+    # a JSON true is a Python 1: it removed site 1 and ran one hole
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    code, _, err = run(argv + ["--config", str(cfg), "--out", str(out)], capsys)
+    assert code == 2
+    assert f"config error at {key}" in err
+    assert not out.exists()
+
+
+def test_the_quadrature_tolerance_is_not_a_setting(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["efficiency", "--N", "3", "--tol", "1e-9", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": {"tol": 1e-9}}))
+    code, _, err = run(["efficiency", "--N", "3", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert "config error at mode.tol: unknown key" in err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_flag_overrides_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"mode": {"w0": 1.5}, "geometry": {"N": 3}}))
@@ -154,7 +189,7 @@ def test_summary_records_only_the_settings_the_command_takes(tmp_path, capsys):
     assert {section: sorted(value) if isinstance(value, dict) else value
             for section, value in config.items()} == {
         "geometry": ["N", "d"],
-        "mode": ["tol", "two_sided", "w0"],
+        "mode": ["two_sided", "w0"],
         "study": ["allow_large", "hole_counts", "n_samples", "seed"],
         "output": ["dir", "timestamp"],
         "workers": None,
@@ -384,7 +419,7 @@ def test_empty_study_list_in_config_is_rejected(tmp_path, capsys, key):
 
 
 _GEOMETRY = ["--N", "--d", "--holes", "--sigma", "--geometry-seed"]
-_BEAM = ["--two-sided", "--one-sided", "--tol"]
+_BEAM = ["--two-sided", "--one-sided"]
 # the settings each command reads, in table order, up to the four every command takes
 _READS = {
     "efficiency": [*_GEOMETRY, "--w0", *_BEAM, "--model", "--allow-large"],

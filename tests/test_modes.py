@@ -30,7 +30,6 @@ def mode_norm_realspace(m: DetectionMode, z: float = 0.0) -> float:
     Azimuthal integration is analytic (|E^x|^2 is axial, |E^z|^2 carries
     cos^2), leaving radial quadrature on composite Gauss-Legendre panels.
     """
-    tol = m.quadrature_tolerance
     w_z = m.w0 * np.sqrt(1.0 + (z / (np.pi * m.w0**2)) ** 2)
     r_max = max(10.0 * w_z, 8.0)
 
@@ -43,7 +42,7 @@ def mode_norm_realspace(m: DetectionMode, z: float = 0.0) -> float:
         half = (edges[1:] - edges[:-1]) / 2.0
         rho = (mid[:, None] + half[:, None] * x[None, :]).ravel()
         wts = (half[:, None] * w[None, :]).ravel()
-        ex, g = _field_components(m.w0, rho, np.full_like(rho, z), tol)
+        ex, g = _field_components(m.w0, rho, np.full_like(rho, z))
         ez_mag2 = np.abs(g) ** 2
         radial = 2.0 * np.pi * np.abs(ex) ** 2 + np.pi * ez_mag2
         return float(np.sum(wts * rho * radial))
@@ -60,10 +59,6 @@ def mode_norm_realspace(m: DetectionMode, z: float = 0.0) -> float:
 def test_waist_and_tolerance_validation():
     with pytest.raises(InvalidArgumentError):
         DetectionMode(w0=0.0)
-    with pytest.raises(InvalidArgumentError):
-        DetectionMode(w0=1.0, quadrature_tolerance=0.0)
-    with pytest.raises(InvalidArgumentError):
-        DetectionMode(w0=1.0, quadrature_tolerance=1e-5)
     for w0 in (np.inf, np.nan):
         with pytest.raises(InvalidArgumentError, match="finite"):
             DetectionMode(w0=w0)
@@ -83,7 +78,7 @@ def test_a_beam_without_a_waist_cannot_be_sampled():
 
 
 def test_mode_pickle_round_trip():
-    m = DetectionMode(w0=1.5, two_sided=False, quadrature_tolerance=1e-9)
+    m = DetectionMode(w0=1.5, two_sided=False)
     back = pickle.loads(pickle.dumps(m))
     assert back == m
     assert mode_norm(back) == mode_norm(m)

@@ -275,6 +275,17 @@ def test_hole_study_rejects_too_many_holes():
         studies.hole_study(4, 0.6, DetectionMode(w0=1.0), [4], 2)  # > 20% of 16 sites
 
 
+@pytest.mark.parametrize("count", [1.9, np.nan, True])
+def test_hole_study_refuses_a_count_that_is_not_an_integer(monkeypatch, count):
+    # 1.9 ran as one hole, nan raised a bare ValueError and True ran one hole
+    def unused(*args, **kwargs):
+        raise AssertionError("solved a study with a bad hole count")
+
+    monkeypatch.setattr(studies, "solve", unused)
+    with pytest.raises(InvalidArgumentError, match="integers"):
+        studies.hole_study(4, 0.6, DetectionMode(w0=1.0), [count], 2)
+
+
 @pytest.mark.parametrize(
     "study, axis, n_samples",
     [
