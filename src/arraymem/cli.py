@@ -8,7 +8,9 @@ precedence; unknown keys are rejected rather than ignored. Each setting is
 one row of ``_SETTINGS``, which gives its default, its check and its flag,
 so a flag and a config key pass the same check. A command takes only the
 flags its handler reads, and its JSON summary records only those
-settings; a config file may set any key.
+settings; a config file may set any key. A handler takes the config alone
+and returns (N for the file names, summary body, table rows or None, the
+line to print); ``main`` writes the files and prints the line and path.
 
 A command that takes --w0 solves at the given waist, or, when none is
 given (``"w0": null``), at the best waist, found by ``studies.solve``.
@@ -31,7 +33,8 @@ Config file schema (all keys optional, defaults shown):
       "workers": null
     }
 
-Exit codes: 0 success, 1 numerical failure, 2 configuration failure.
+Exit codes: 0 success, 1 numerical failure, 2 configuration failure (an
+output.dir that cannot be made a directory included, found before any solve).
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from .dynamics import eta_finite_time
 from .errors import ArrayMemError, FitWindowError, InvalidArgumentError
 from .geometry import apply_position_disorder, build_square_array, remove_holes
 from .greens import ISOTROPIC, TWO_LEVEL
-from .modes import DetectionMode, samples_to_rows
+from .modes import DetectionMode
 from .retrieval import solution_to_dict
 from . import studies
 
@@ -265,9 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
                 group = p.add_mutually_exclusive_group() if len(s.flags) > 1 else p
                 for option, kwargs in s.flags.items():
                     group.add_argument(option, dest=_dest(s), default=None, **kwargs)
-        if command == "efficiency":
-            p.add_argument("--dump-samples", action="store_true",
-                           help="also write the sampled mode field as CSV")
     return parser
 
 
@@ -306,16 +306,14 @@ def _workers(config: dict) -> int:
     return config["workers"] or studies.default_workers()
 
 
-def _write(config: dict, command: str, n: int, body: dict, rows=None) -> Path:
+def _write(config: dict, command: str, n: int, body: dict, rows) -> Path:
     """Write a run's JSON summary, and its CSV table when rows are given.
 
     The summary records the settings the command takes. Returns the path
     the command prints: the table if there is one, else the summary.
     """
-    out = Path(config["output"]["dir"])
-    out.mkdir(parents=True, exist_ok=True)
     stem = studies.artifact_stem(command, n, config["geometry"]["d"], config["output"]["timestamp"])
-    summary = out / f"{stem}.json"
+    summary = Path(config["output"]["dir"]) / f"{stem}.json"
     table = None if rows is None else summary.with_suffix(".csv")
     if table:
         studies.write_csv(table, rows)
@@ -329,22 +327,18 @@ def _write(config: dict, command: str, n: int, body: dict, rows=None) -> Path:
     return table or summary
 
 
-def _cmd_efficiency(config: dict, args) -> int:
+def _cmd_efficiency(config: dict) -> tuple:
     gc = config["geometry"]
     g = _build_geometry(gc)
     res = studies.solve(g, _mode(config), config["study"]["model"])
     w0 = res.samples.w0
     sol_doc = solution_to_dict(res.solution, w0, g.to_json())
     sol_doc["spectral"] = res.dec.diagnostics()
-    path = _write(config, "efficiency", gc["N"], {"solution": sol_doc})
-    if args.dump_samples:
-        studies.write_csv(path.with_name(f"{path.stem}_samples.csv"),
-                          samples_to_rows(g, res.samples))
-    print(f"eta={res.eta:.9f} eps={1.0 - res.eta:.3e} w0={w0:g} -> {path}")
-    return 0
+    return gc["N"], {"solution": sol_doc}, None, (
+        f"eta={res.eta:.9f} eps={1.0 - res.eta:.3e} w0={w0:g}")
 
 
-def _cmd_scan_waist(config: dict, args) -> int:
+def _cmd_scan_waist(config: dict) -> tuple:
     gc, sc = config["geometry"], config["study"]
     w0_list = np.geomspace(sc["w0_min"], sc["w0_max"], sc["w0_points"])
     rows = studies.scan_waist(_build_geometry(gc), _mode(config), w0_list, sc["model"])
@@ -357,39 +351,33 @@ def _cmd_scan_waist(config: dict, args) -> int:
         fit_doc, fit_note = None, "C=n/a (no clipping-free window)"
     eps = [row["epsilon"] for row in rows]
     interior_minima = sum(eps[i] < min(eps[i - 1], eps[i + 1]) for i in range(1, len(eps) - 1))
-    body = {"fit": fit_doc, "unimodal": interior_minima <= 1}
-    path = _write(config, "scan-waist", gc["N"], body, rows)
     best = min(rows, key=lambda row: row["epsilon"])
-    print(f"min eps={best['epsilon']:.3e} at w0={best['w0']:g} {fit_note} -> {path}")
-    return 0
+    return gc["N"], {"fit": fit_doc, "unimodal": interior_minima <= 1}, rows, (
+        f"min eps={best['epsilon']:.3e} at w0={best['w0']:g} {fit_note}")
 
 
-def _cmd_optimal_waist(config: dict, args) -> int:
+def _cmd_optimal_waist(config: dict) -> tuple:
     g = _build_geometry(config["geometry"])
     opt = studies.optimal_waist(g, _mode(config), config["study"]["model"])
-    path = _write(config, "optimal-waist", config["geometry"]["N"], {
+    return config["geometry"]["N"], {
         "w0_opt": opt.w0, "epsilon_opt": opt.epsilon, "eta": opt.eta,
         "n_evaluations": opt.n_evaluations, "bracket_fallback": opt.bracket_fallback,
-    })
-    print(f"w0_opt={opt.w0:.4f} eps_opt={opt.epsilon:.3e} -> {path}")
-    return 0
+    }, None, f"w0_opt={opt.w0:.4f} eps_opt={opt.epsilon:.3e}"
 
 
-def _cmd_holes(config: dict, args) -> int:
+def _cmd_holes(config: dict) -> tuple:
     gc, sc = config["geometry"], config["study"]
     hs = studies.hole_study(
         gc["N"], gc["d"], _mode(config), sc["hole_counts"], sc["n_samples"],
         seed=sc["seed"], workers=_workers(config),
     )
-    path = _write(config, "holes", gc["N"], {
+    return gc["N"], {
         "alpha": hs.alpha.slope, "alpha_stderr": hs.alpha.stderr,
         "eta_perfect": hs.eta_perfect, "w0": hs.w0,
-    }, hs.rows)
-    print(f"alpha={hs.alpha.slope:.4f} (+/- {hs.alpha.stderr:.4f}) -> {path}")
-    return 0
+    }, hs.rows, f"alpha={hs.alpha.slope:.4f} (+/- {hs.alpha.stderr:.4f})"
 
 
-def _cmd_disorder(config: dict, args) -> int:
+def _cmd_disorder(config: dict) -> tuple:
     gc, sc = config["geometry"], config["study"]
     ds = studies.position_disorder_study(
         gc["N"], gc["d"], _mode(config), sc["sigma_list"], sc["n_samples"], seed=sc["seed"],
@@ -402,14 +390,12 @@ def _cmd_disorder(config: dict, args) -> int:
         slope_note = f"{slope:.3f}"
     except FitWindowError:
         slope, slope_note = None, "n/a"
-    path = _write(config, "disorder", gc["N"], {
+    return gc["N"], {
         "summary": ds.summary, "loglog_slope": slope, "eta_perfect": ds.eta_perfect, "w0": ds.w0,
-    }, ds.rows)
-    print(f"slope(log loss vs log sigma)={slope_note} -> {path}")
-    return 0
+    }, ds.rows, f"slope(log loss vs log sigma)={slope_note}"
 
 
-def _cmd_finite_time(config: dict, args) -> int:
+def _cmd_finite_time(config: dict) -> tuple:
     gc, sc = config["geometry"], config["study"]
     res = studies.solve(_build_geometry(gc), _mode(config), sc["model"])
     eta_inf, spin = res.eta, res.solution.spin_wave
@@ -419,20 +405,15 @@ def _cmd_finite_time(config: dict, args) -> int:
         eta_td = eta_finite_time(res, spin, float(td))
         rows.append({"Td": float(td), "eta_Td": eta_td,
                      "relative_error": 1.0 - eta_td / eta_inf})
-    path = _write(config, "finite-time", gc["N"], {
-        "w0": res.samples.w0, "eta_infinite": eta_inf, "final": rows[-1],
-    }, rows)
-    print(f"1 - eta_Td/eta = {rows[-1]['relative_error']:.3e} at Td={sc['Td']:g} -> {path}")
-    return 0
+    return gc["N"], {"w0": res.samples.w0, "eta_infinite": eta_inf, "final": rows[-1]}, rows, (
+        f"1 - eta_Td/eta = {rows[-1]['relative_error']:.3e} at Td={sc['Td']:g}")
 
 
-def _cmd_isotropic(config: dict, args) -> int:
+def _cmd_isotropic(config: dict) -> tuple:
     sc = config["study"]
     rows = studies.isotropic_comparison(sc["N_list"], config["geometry"]["d"], _mode(config))
-    path = _write(config, "isotropic", max(sc["N_list"]), {"rows": rows}, rows)
     rels = ", ".join(f"N={r['N']}: +{100 * r['relative_increase']:.0f}%" for r in rows)
-    print(f"isotropic error increase {rels} -> {path}")
-    return 0
+    return max(sc["N_list"]), {"rows": rows}, rows, f"isotropic error increase {rels}"
 
 
 # command -> (help, handler)
@@ -455,11 +436,17 @@ def main(argv=None) -> int:
         _apply_flags(config, args)
         _validate_config(config)
         _check_scale(config, args.command)
+        try:
+            Path(config["output"]["dir"]).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"config error at output.dir: {exc}")
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     try:
-        return _COMMANDS[args.command][1](config, args)
+        n, body, rows, note = _COMMANDS[args.command][1](config)
+        print(f"{note} -> {_write(config, args.command, n, body, rows)}")
+        return 0
     except InvalidArgumentError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2

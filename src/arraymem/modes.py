@@ -138,9 +138,10 @@ def _field_components(w0, rho, z, flux_weight=False):
     return ex[inverse], g[inverse]
 
 
-@dataclass
+@dataclass(frozen=True)
 class DetectionMode:
-    """Detection beam: its waist and its detected sides.
+    """Detection beam: its waist and its detected sides. Immutable: a
+    beam at another waist is dataclasses.replace(mode, w0=...).
 
     The beam has unit amplitude: eta does not depend on it.
 
@@ -272,18 +273,3 @@ def sample_mode(m: DetectionMode, g: Geometry, model: str = TWO_LEVEL) -> ModeSa
         two_sided=m.two_sided,
     )
 
-
-def samples_to_rows(g: Geometry, samples: ModeSamples) -> list:
-    """CSV-ready rows (site, x, y, Re E, Im E) of the sampled E^x, the
-    component the spin wave couples to."""
-    values = samples.values[:, 0]
-    return [
-        {
-            "site": int(g.site_indices[j]),
-            "x": float(g.positions[j, 0]),
-            "y": float(g.positions[j, 1]),
-            "re_e": float(values[j].real),
-            "im_e": float(values[j].imag),
-        }
-        for j in range(g.n_atoms)
-    ]

@@ -70,30 +70,23 @@ def model_error(n: int, d: float, w0, c: float = DEFAULT_C_SEED) -> np.ndarray:
     return c / w0**4 + clipping_error(n, d, w0)
 
 
-def solve(
-    g, mode: DetectionMode | None, model: str = TWO_LEVEL, dec=None, samples=None
-) -> EfficiencyMatrix:
+def _eigensystem(g, model: str = TWO_LEVEL):
+    """The eigensystem of g's interaction matrix: in the mirror sector of
+    the beam for a perfect lattice, in the whole space for any other
+    geometry (greens.sector_basis). Every waist of g shares it."""
+    return eigendecompose(InteractionMatrix(g, model, sector_basis(g, model)))
+
+
+def solve(g, mode: DetectionMode, model: str = TWO_LEVEL) -> EfficiencyMatrix:
     """The efficiency matrix of one geometry and detection mode, whose
     eta = p lambda_max(K) is computed on first use.
-
-    A perfect lattice is solved in the mirror sector of the beam, any
-    other geometry in the whole space (greens.sector_basis). A given dec
-    (one eigensystem shared by every waist of a geometry) or samples (the
-    beam sliced from a parent lattice) is used as it is; with samples
-    given, mode is not read. The samples cover every atom either way.
 
     A beam without a waist is solved at its best waist: the result is
     optimal_waist(g, mode, model).result, whose samples record the waist.
     """
-    if samples is None and mode.w0 is None:
-        if dec is not None:
-            raise InvalidArgumentError("a beam without a waist is searched, not solved with dec")
+    if mode.w0 is None:
         return optimal_waist(g, mode, model).result
-    if dec is None:
-        dec = eigendecompose(InteractionMatrix(g, model, sector_basis(g, model)))
-    if samples is None:
-        samples = sample_mode(mode, g, model)
-    return k_matrix(dec, samples)
+    return k_matrix(_eigensystem(g, model), sample_mode(mode, g, model))
 
 
 def scan_waist(g, mode: DetectionMode, w0_list, model: str = TWO_LEVEL) -> list:
@@ -105,11 +98,10 @@ def scan_waist(g, mode: DetectionMode, w0_list, model: str = TWO_LEVEL) -> list:
     ):
         raise InvalidArgumentError("w0_list must be finite, positive and strictly increasing")
     n, d = g.linear_size, g.lattice_constant
-    dec = None
+    dec = _eigensystem(g, model)
     rows = []
     for w0 in w0_list:
-        res = solve(g, replace(mode, w0=w0), model, dec=dec)
-        dec, sol = res.dec, res.solution
+        sol = k_matrix(dec, sample_mode(replace(mode, w0=w0), g, model)).solution
         eps = 1.0 - sol.eta_max
         if not -1e-9 <= eps <= 1.0 + 1e-9:
             raise InvalidArgumentError(f"error {eps!r} outside [0, 1]")
@@ -195,6 +187,7 @@ def optimal_waist(g, mode: DetectionMode, model: str = TWO_LEVEL) -> OptimalWais
     A beam too wide to resolve scores eps = 1; no resolved waist fails."""
     if g.linear_size < 2:
         raise InvalidArgumentError("waist optimization needs N >= 2")
+    dec = _eigensystem(g, model)
     evaluations = {}
     best = None  # only the running best keeps its K
 
@@ -207,7 +200,7 @@ def optimal_waist(g, mode: DetectionMode, model: str = TWO_LEVEL) -> OptimalWais
             except NumericalError:  # a beam too wide to resolve
                 evaluations[w0] = 1.0
                 return 1.0
-            res = solve(g, None, model, dec=best.dec if best else None, samples=samples)
+            res = k_matrix(dec, samples)
             evaluations[w0] = 1.0 - res.eta
             if best is None or evaluations[w0] < 1.0 - best.eta:
                 best = res
@@ -312,7 +305,7 @@ def _samples_at(samples, g):
 def _hole_task(args):
     n, d, holes, samples0 = args
     g = remove_holes(build_square_array(n, d), list(holes))
-    return solve(g, None, samples=_samples_at(samples0, g)).eta
+    return k_matrix(_eigensystem(g), _samples_at(samples0, g)).eta
 
 
 @dataclass

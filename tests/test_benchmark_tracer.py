@@ -28,6 +28,7 @@ def test_tracer_wraps_a_traced_run_and_restores_every_name(tmp_path, capsys):
     argvs = [
         ["finite-time", "--N", "3"],
         ["optimal-waist", "--N", "3", "--model", "isotropic"],
+        ["scan-waist", "--N", "3"],
         ["holes", "--N", "3", "--w0", "1", "--hole-counts", "1", "--samples", "1",
          "--workers", "1"],
     ]

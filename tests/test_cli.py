@@ -81,11 +81,14 @@ def test_config_booleans_are_not_numbers(tmp_path, capsys, config, argv, key):
     assert not out.exists()
 
 
-def test_the_quadrature_tolerance_is_not_a_setting(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["efficiency", "--N", "3", "--tol", "1e-9", "--out", str(tmp_path)])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+def test_the_removed_settings_are_refused(tmp_path, capsys):
+    # the quadrature tolerance (--tol, mode.tol) and efficiency --dump-samples
+    for flags in (["--tol", "1e-9"], ["--dump-samples"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["efficiency", "--N", "3", *flags, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"mode": {"tol": 1e-9}}))
     code, _, err = run(["efficiency", "--N", "3", "--config", str(cfg)], capsys)
@@ -435,7 +438,7 @@ _READS = {
 @pytest.mark.parametrize(
     "command, own",
     [
-        ("efficiency", ["--dump-samples"]),
+        ("efficiency", []),
         ("scan-waist", ["--w0-min", "--w0-max", "--w0-points"]),
         ("optimal-waist", []),
         ("holes", ["--hole-counts", "--samples"]),
@@ -506,17 +509,27 @@ def test_scan_waist_scans_the_configured_geometry(tmp_path, capsys, geometry, g)
     ids=["scan-waist", "efficiency", "optimal-waist", "holes", "disorder", "finite-time",
          "isotropic"],
 )
-def test_desk_scale_caps(tmp_path, capsys, monkeypatch, argv, key, model):
+def test_desk_scale_caps(tmp_path, capsys, nothing_solved, argv, key, model):
     # the cap is checked before anything is solved
-    def unused(*args, **kwargs):
-        raise AssertionError("solved past the cap")
-
-    monkeypatch.setattr(studies, "solve", unused)
     code, _, err = run(argv + ["--out", str(tmp_path), "--no-timestamp"], capsys)
     assert code == 2
     assert f"config error at {key}" in err and f"for the {model} model" in err
     assert "--allow-large" in err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["a-file", "below-a-file"])
+def test_an_unusable_output_dir_is_a_config_error(tmp_path, capsys, nothing_solved, below):
+    # it was found after the solve, as a FileExistsError or NotADirectoryError
+    # traceback and exit 1
+    path = tmp_path / "taken"
+    path.write_text("")
+    out = path / "sub" if below else path
+    code, stdout, err = run(["efficiency", "--N", "3", "--w0", "1", "--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith("config error at output.dir:") and "Traceback" not in err
+    assert stdout == ""
+    assert list(tmp_path.iterdir()) == [path] and path.read_text() == ""
 
 
 def test_allow_large_lifts_the_cap(tmp_path, capsys, monkeypatch):

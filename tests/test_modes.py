@@ -1,3 +1,4 @@
+import dataclasses
 import pickle
 
 import numpy as np
@@ -62,6 +63,15 @@ def test_waist_and_tolerance_validation():
     for w0 in (np.inf, np.nan):
         with pytest.raises(InvalidArgumentError, match="finite"):
             DetectionMode(w0=w0)
+
+
+@pytest.mark.parametrize("w0", [-1.2, np.nan])
+def test_a_checked_waist_cannot_be_overwritten(w0):
+    # an overwritten -1.2 solved to eta 0.91; nan ran the whole quadrature first
+    m = DetectionMode(w0=1.2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.w0 = w0
+    assert m.w0 == 1.2
 
 
 def test_a_beam_without_a_waist_cannot_be_sampled():
@@ -245,14 +255,3 @@ def test_projection_nonconvergence_names_threshold():
 def test_projection_requires_propagating_side():
     with pytest.raises(InvalidArgumentError):
         validate_projection(DetectionMode(w0=2.0), [0, 0, 1.0], [1, 0, 0], 0.5)
-
-
-def test_sample_csv_rows():
-    from arraymem.modes import samples_to_rows
-
-    g = build_square_array(2, 0.6)
-    s = sample_mode(DetectionMode(w0=1.5), g)
-    rows = samples_to_rows(g, s)
-    assert [r["site"] for r in rows] == [0, 1, 2, 3]
-    assert rows[0]["x"] == pytest.approx(-0.3)
-    assert rows[0]["re_e"] == pytest.approx(float(s.values[0, 0].real))

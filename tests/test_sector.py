@@ -14,6 +14,7 @@ from arraymem import (
     eigendecompose,
     eta_finite_time,
     interaction_matrix,
+    k_matrix,
     remove_holes,
     sample_mode,
 )
@@ -113,10 +114,7 @@ def test_sector_matches_dense(n, model):
     mode = DetectionMode(w0=0.3 * n + 0.5)
     sector = studies.solve(g, mode, model)
     assert sector.dec.basis.q.shape[1] == sector_columns(n, model)
-    dense = studies.solve(
-        g, None, model,
-        dec=eigendecompose(interaction_matrix(g, model)), samples=sector.samples,
-    )
+    dense = k_matrix(eigendecompose(interaction_matrix(g, model)), sector.samples)
     assert abs(sector.eta - dense.eta) <= 1e-12
     spin = dense.solution.spin_wave
     assert np.max(np.abs(sector.solution.spin_wave - spin)) <= 1e-9
