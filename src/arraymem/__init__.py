@@ -6,7 +6,8 @@ carries (the whole space unless a mirror sector is given), assemble the
 Hermitian efficiency matrix, and read off the top eigenpair.
 
 Importing the package runs numpy's OpenBLAS on one thread for the whole
-process (arraymem.blas), the caller's own numpy work included.
+process, the caller's own numpy work included; only the eigensolve runs at
+the thread count OpenBLAS picked (arraymem.blas).
 """
 
 from .geometry import (
@@ -37,9 +38,6 @@ from .retrieval import (
     max_efficiency,
 )
 from .dynamics import eta_finite_time
-from . import blas
-
-blas.set_numpy_threads()
 
 __version__ = "0.1.0"
 

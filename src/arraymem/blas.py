@@ -1,25 +1,24 @@
-"""Thread counts of the OpenBLAS libraries loaded into this process.
+"""Thread count of numpy's OpenBLAS.
 
-numpy and scipy wheels each bundle their own OpenBLAS: numpy's (ILP64, in
-``numpy.libs``) runs the matrix products, scipy's (in ``scipy.libs``) runs
-LAPACK's ``zgeev`` behind ``scipy.linalg.eig``. Each starts one thread per
-core, and while one library works the other's helper threads spin-wait,
-so the two contend for the cores even in a serial program. Importing
-``arraymem`` sets numpy's library to one thread, once, for the whole
-process: every entry point (the CLI, a library import, a pool worker that
-unpickles its task) solves with that setting. scipy's library is left
-alone: its thread count changes zgeev's eigenvectors, and with them the
-efficiencies, in the last digits.
+numpy's wheel bundles one OpenBLAS (ILP64, in ``numpy.libs``). It runs the
+matrix products and LAPACK's ``zgeev`` behind ``numpy.linalg.eig``, and
+starts with one thread per usable core (or ``OPENBLAS_NUM_THREADS``).
+Importing this module records that count as EIG_THREADS and then sets the
+library to one thread, once, for the whole process: every entry point (the
+CLI, a library import, a pool worker that unpickles its task) solves with
+that setting. Only the eigensolve runs at EIG_THREADS (eig_threads): its
+thread count changes zgeev's eigenvectors, and with them the efficiencies,
+in the last digits, so it stays at the count OpenBLAS itself picks.
 
-Libraries are found through ``/proc/self/maps``. Where that file, a
-library or its thread-control symbols are missing, the functions here do
-nothing.
+The library is found through ``/proc/self/maps``. Where that file, the
+library or its thread-control symbols are missing, EIG_THREADS is 1 and
+the functions here do nothing.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
-import functools
 import os
 
 import numpy
@@ -41,7 +40,6 @@ def _loaded_paths() -> list:
     )
 
 
-@functools.lru_cache(maxsize=None)
 def _controls(path: str):
     """(get, set) thread-count functions of one library, or None."""
     try:
@@ -60,6 +58,7 @@ def _controls(path: str):
 
 
 def _numpy_controls():
+    """(get, set) of the OpenBLAS in numpy's wheel, or None."""
     package = os.path.dirname(numpy.__file__)
     libs = os.path.realpath(os.path.join(package, os.pardir, "numpy.libs"))
     for path in _loaded_paths():
@@ -68,14 +67,25 @@ def _numpy_controls():
     return None
 
 
-def set_numpy_threads() -> None:
-    """Run numpy's OpenBLAS on one thread, where it can be found."""
-    controls = _numpy_controls()
-    if controls:
-        controls[1](1)
+_CONTROLS = _numpy_controls()
+
+# The thread count OpenBLAS picked for this process, read before the pin.
+EIG_THREADS = _CONTROLS[0]() if _CONTROLS else 1
 
 
-def max_threads() -> int:
-    """Largest thread count among the loaded OpenBLAS libraries (1 if none is readable)."""
-    counts = [c[0]() for c in map(_controls, _loaded_paths()) if c]
-    return max(counts, default=1)
+def _set_threads(n: int) -> None:
+    if _CONTROLS:
+        _CONTROLS[1](n)
+
+
+_set_threads(1)
+
+
+@contextlib.contextmanager
+def eig_threads():
+    """Run the enclosed eigensolve at EIG_THREADS, then go back to one thread."""
+    _set_threads(EIG_THREADS)
+    try:
+        yield
+    finally:
+        _set_threads(1)

@@ -14,7 +14,8 @@ two Bessel-kernel integrals over b = k_t/k0 in [0, 1]:
 Both are evaluated with the substitution b = sin(theta), which removes the
 endpoint singularity of the E^z kernel, followed by Gauss-Legendre
 quadrature with node doubling until successive levels agree to
-QUADRATURE_TOL.
+QUADRATURE_TOL. J0 and J1 are this module's own (j0, j1): committed
+Chebyshev series, within 1e-14 of scipy.special's on [0, 500].
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import j0, j1
+from numpy.polynomial.chebyshev import chebval
 
 from .errors import InvalidArgumentError, NumericalError
 from .geometry import Geometry
@@ -36,6 +37,129 @@ _FIELD_CHUNK = 512
 QUADRATURE_TOL = 1e-10  # largest change of a field value between the last two levels
 
 _base_x, _base_w = np.polynomial.legendre.leggauss(_PANEL_ORDER)
+
+# Chebyshev coefficients of J0 and J1, fitted to scipy.special once by
+# tests/bessel_fit.py, whose docstring gives the two forms they enter.
+_J0_NEAR = np.array((
+    0.1577279714748901,
+    -0.008723442352852159,
+    0.26517861320333663,
+    -0.37009499387265005,
+    0.1580671023320972,
+    -0.034893769411408926,
+    0.004819180069467558,
+    -0.00046062616620629434,
+    3.246032882074454e-05,
+    -1.761946907745173e-06,
+    7.608163586715585e-08,
+    -2.6792534397694803e-09,
+    7.848677849313446e-11,
+    -1.943780841506076e-12,
+    4.1076477193913935e-14,
+    -7.617592827404984e-16,
+    -8.243138714826546e-17,
+))
+_J0_MODULUS = np.array((
+    0.9995206260460309,
+    -0.00047649307545687115,
+    2.830408572909483e-06,
+    -4.8825682197197364e-08,
+    1.5627404282553708e-09,
+    -7.602537574417608e-11,
+    5.023904636820834e-12,
+    -4.199083607837881e-13,
+    4.2371095789318853e-14,
+    -4.886188879059783e-15,
+    7.31493859342432e-16,
+    -6.791516782903383e-17,
+))
+_J0_PHASE = np.array((
+    -0.015563613038830734,
+    6.068787451222509e-05,
+    -6.813979669795745e-07,
+    1.6948341468833272e-08,
+    -6.961426118565414e-10,
+    4.0761389944540536e-11,
+    -3.114934584693616e-12,
+    2.9319788237851487e-13,
+    -3.269274121139221e-14,
+    4.225750797641977e-15,
+    -6.375339701324522e-16,
+    1.195355362003142e-16,
+))
+_J1_NEAR = np.array((
+    0.648358770605265,
+    -1.1918011605412173,
+    1.2879940988576788,
+    -0.6614439341345435,
+    0.177709117239728,
+    -0.029175524806153996,
+    0.003240270182683694,
+    -0.00026044438934893225,
+    1.588701923946607e-05,
+    -7.61758780465509e-07,
+    2.9497069528190014e-08,
+    -9.424211847507105e-10,
+    2.5280168356857987e-11,
+    -5.778258086962862e-13,
+    1.0992708363489831e-14,
+    2.7796880579602267e-17,
+    -9.806867565664002e-16,
+))
+_J1_MODULUS = np.array((
+    1.0014479976616393,
+    0.0014425159303077869,
+    -5.404894863390766e-06,
+    7.459524732254167e-08,
+    -2.136705019034168e-09,
+    9.773680411224155e-11,
+    -6.215089959116612e-12,
+    5.062468195584895e-13,
+    -4.997656387886724e-14,
+    5.895424868191771e-15,
+    -6.71851831904838e-16,
+    1.5596612117213049e-16,
+))
+_J1_PHASE = np.array((
+    0.04671872325224191,
+    -0.00015500971430805805,
+    1.2406555300276326e-06,
+    -2.5379613395377062e-08,
+    9.41995217928251e-10,
+    -5.207703746030109e-11,
+    3.83775342345926e-12,
+    -3.523166249504251e-13,
+    3.86105909246665e-14,
+    -4.959864512722258e-15,
+    8.040210714151453e-16,
+    -1.9507258657764663e-16,
+))
+
+
+def _bessel(x, nu, near, modulus, phase):
+    """J_nu at every x >= 0: a series in (x/8)^2 up to 8, modulus and phase
+    series in 8/x beyond."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    small = x <= 8.0
+    t = x[small] / 8.0
+    out[small] = chebval(2.0 * t * t - 1.0, near) * (t if nu else 1.0)
+    big = x[~small]
+    u = 8.0 / big
+    y = 2.0 * u * u - 1.0
+    shift = u * chebval(y, phase) - (2 * nu + 1) * np.pi / 4.0
+    out[~small] = np.sqrt(2.0 / (np.pi * big)) * chebval(y, modulus) * np.cos(big + shift)
+    return out
+
+
+def j0(x):
+    """Bessel function J0 of x >= 0."""
+    return _bessel(x, 0, _J0_NEAR, _J0_MODULUS, _J0_PHASE)
+
+
+def j1(x):
+    """Bessel function J1 of x >= 0."""
+    return _bessel(x, 1, _J1_NEAR, _J1_MODULUS, _J1_PHASE)
 
 
 @functools.lru_cache(maxsize=None)

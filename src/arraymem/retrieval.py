@@ -62,7 +62,9 @@ def mode_projections(dec: SpectralDecomposition, samples: ModeSamples) -> np.nda
             f"samples of shape {samples.values.shape} do not match a decomposition "
             f"of {dec.size} rows over {dec.basis.n_atoms} atoms"
         )
-    return dec.eigenvectors.T @ (dec.basis.q.T @ field)
+    # q is real: two real products spare casting all of q to complex
+    q = dec.basis.q
+    return dec.eigenvectors.T @ (q.T @ field.real + 1j * (q.T @ field.imag))
 
 
 def efficiency_prefactor(samples: ModeSamples) -> float:

@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import erf
 
 from . import blas
 from .errors import FitWindowError, InvalidArgumentError, NumericalError
@@ -59,9 +59,12 @@ class FitResult:
     window: dict | None = None
 
 
+_erf = np.vectorize(math.erf, otypes=[float])
+
+
 def clipping_error(n: int, d: float, w0) -> np.ndarray:
     """Fraction of the beam's energy beyond the array boundary."""
-    return 1.0 - erf(n * d / (np.sqrt(2.0) * np.asarray(w0, dtype=float))) ** 2
+    return 1.0 - _erf(n * d / (np.sqrt(2.0) * np.asarray(w0, dtype=float))) ** 2
 
 
 def model_error(n: int, d: float, w0, c: float = DEFAULT_C_SEED) -> np.ndarray:
@@ -258,17 +261,17 @@ def optimal_waist(g, mode: DetectionMode, model: str = TWO_LEVEL) -> OptimalWais
 def default_workers() -> int:
     """Worker processes that fit on the usable cores.
 
-    Each process keeps as many cores busy as its BLAS has threads, so the
-    usable cores are divided by the largest OpenBLAS thread count, which
-    is scipy's (numpy's runs on one): serial when scipy's LAPACK already
-    uses every core, one worker per core when it was started with one
-    thread (OPENBLAS_NUM_THREADS=1).
+    Each process keeps as many cores busy as its eigensolve has threads,
+    so the usable cores are divided by blas.EIG_THREADS, the count numpy's
+    OpenBLAS picked before arraymem set it to one: serial when the
+    eigensolve already uses every core, one worker per core when the
+    library was started with one thread (OPENBLAS_NUM_THREADS=1).
     """
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cores = os.cpu_count() or 1
-    return max(1, cores // blas.max_threads())
+    return max(1, cores // blas.EIG_THREADS)
 
 
 def _check_study_size(axis: list, n_samples: int, name: str) -> None:
@@ -282,9 +285,10 @@ def _check_study_size(axis: list, n_samples: int, name: str) -> None:
 def _run_tasks(fn, tasks, workers):
     """Map fn over tasks, in this process or in a pool of worker processes.
 
-    Tasks run numpy's BLAS on one thread either way: importing arraymem
-    sets it (arraymem.blas), a forked worker inherits it, and a spawned
-    or forkserver worker imports arraymem to unpickle its task.
+    Tasks run numpy's BLAS on one thread outside the eigensolve either
+    way: importing arraymem sets it (arraymem.blas), a forked worker
+    inherits it, and a spawned or forkserver worker imports arraymem to
+    unpickle its task.
     """
     if workers <= 1:
         return [fn(t) for t in tasks]

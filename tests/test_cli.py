@@ -380,13 +380,17 @@ def test_descending_range_flag_is_an_argument_error(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-def test_cli_import_leaves_out_the_ode_solvers():
-    # the ODE oracle lives with the tests; the CLI needs only scipy.linalg
-    # and scipy.special, and importing scipy.integrate (which loads
-    # scipy.optimize) would add about a quarter to its start-up
+def test_cli_import_leaves_out_the_ode_solvers(tmp_path):
+    # the ODE oracle and the scipy checks live with the tests; the CLI
+    # loads no scipy module, neither at import nor in a solve, so scipy's
+    # import chain can move into neither its start-up nor its passes
     code = (
         "import sys, arraymem.cli; "
-        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
+        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+        "print(loaded()); "
+        f"arraymem.cli.main(['efficiency', '--N', '3', '--out', {str(tmp_path)!r}, "
+        "'--no-timestamp']); "
+        "print(loaded())"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -395,7 +399,11 @@ def test_cli_import_leaves_out_the_ode_solvers():
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out.strip() == "[]"
+    lines = out.splitlines()
+    assert lines[0] == "[]"
+    assert "eta=" in lines[1]
+    assert lines[-1] == "[]"
+    assert list(tmp_path.glob("efficiency_3_*.json"))
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,9 @@ import pickle
 
 import numpy as np
 import pytest
+from scipy import special
 
+from arraymem import modes
 from arraymem import (
     ISOTROPIC,
     DetectionMode,
@@ -55,6 +57,29 @@ def mode_norm_realspace(m: DetectionMode, z: float = 0.0) -> float:
             return cur
         prev = cur
     return prev
+
+
+# a dense grid of [0, 500] with the first 100 zeros of J0 and J1, where
+# only an absolute error is meaningful
+BESSEL_GRID = np.unique(np.concatenate(
+    [np.linspace(0.0, 500.0, 500_001), special.jn_zeros(0, 100), special.jn_zeros(1, 100)]
+))
+
+
+@pytest.mark.parametrize("name", ["j0", "j1"])
+def test_bessel_functions_match_scipy(name):
+    # largest error 3.2e-15 (j1 just below x = 8)
+    ours = getattr(modes, name)(BESSEL_GRID)
+    assert np.max(np.abs(ours - getattr(special, name)(BESSEL_GRID))) < 1e-14
+
+
+def test_bessel_functions_hold_beyond_the_grid():
+    # no upper cap: far out both lose only the rounding of the argument,
+    # about 1e-16 x / sqrt(x)
+    x = np.geomspace(500.0, 1e12, 1000)
+    for name in ("j0", "j1"):
+        err = np.abs(getattr(modes, name)(x) - getattr(special, name)(x))
+        assert np.all(err < 1e-14 + 1e-15 * np.sqrt(x))
 
 
 def test_waist_and_tolerance_validation():

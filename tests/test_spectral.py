@@ -88,6 +88,25 @@ def test_identities_across_geometries(geometry, model, in_sector):
     assert reconstruction_residual(m, dec) < 1e-9
 
 
+def test_eigenvalues_are_scipys_bit_for_bit(monkeypatch):
+    # numpy's and scipy's wheels bundle OpenBLAS builds whose zgeev agrees
+    # at this size, and the eigensolve runs at the thread count scipy's
+    # library keeps: same raw eigenvalues, in the same order
+    raw = []
+    eig = np.linalg.eig
+
+    def recorded(a):
+        raw.append(eig(a))
+        return raw[-1]
+
+    monkeypatch.setattr(np.linalg, "eig", recorded)
+    # at one thread zgeev orders this matrix's eigenvalues differently
+    g = remove_holes(build_square_array(10, 0.6), [3, 17, 55])
+    m = InteractionMatrix(g, TWO_LEVEL, sector_basis(g, TWO_LEVEL))
+    eigendecompose(m)
+    assert np.array_equal(raw[0][0], scipy.linalg.eig(m.in_basis())[0])
+
+
 def test_eigenvalues_invariant_under_relabeling():
     from arraymem.geometry import Geometry
 

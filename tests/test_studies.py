@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import special
 
 from arraymem import (
     ISOTROPIC,
@@ -80,6 +81,15 @@ def test_fit_window_excluding_crossover_fits_better():
     resid_windowed = np.linalg.norm(y_all[mask] - fit.slope * x_all[mask])
     resid_allfit = np.linalg.norm(y_all[mask] - c_all * x_all[mask])
     assert resid_windowed < resid_allfit
+
+
+@pytest.mark.parametrize("n, d", [(20, 0.6), (4, 0.6), (1, 1.0)])
+def test_clipping_error_matches_scipy(n, d):
+    # math.erf against scipy.special.erf on a dense waist grid of (0, 500];
+    # largest error 5.6e-16
+    w0 = np.linspace(0.0, 500.0, 500_001)[1:]
+    want = 1.0 - special.erf(n * d / (np.sqrt(2.0) * w0)) ** 2
+    assert np.max(np.abs(studies.clipping_error(n, d, w0) - want)) < 1e-15
 
 
 def test_fit_requires_clipping_free_points():
@@ -358,24 +368,28 @@ needs_two_cores = pytest.mark.skipif(
 )
 
 
+def _fresh_interpreter(code, **env_vars):
+    """stdout of code run by a fresh interpreter that imports this arraymem,
+    with the BLAS thread variables replaced by env_vars."""
+    src = str(Path(studies.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    thread_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in thread_vars}
+    env.update(env_vars, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+
+
 @needs_two_cores
 def test_importing_arraymem_runs_numpy_blas_on_one_thread():
     # a fresh interpreter asked for 2 threads: numpy's library is set to 1
-    # at import, and scipy's keeps its 2
+    # at import, and the 2 it started with are kept for the eigensolve
     code = (
         "import arraymem; from arraymem import blas; "
-        "print(blas._numpy_controls()[0](), blas.max_threads())"
+        "print(blas._numpy_controls()[0](), blas.EIG_THREADS)"
     )
-    src = str(Path(studies.__file__).resolve().parents[1])
-    env = {
-        **os.environ,
-        "OPENBLAS_NUM_THREADS": "2",
-        "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p),
-    }
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    assert out.split() == ["1", "2"]
+    assert _fresh_interpreter(code, OPENBLAS_NUM_THREADS="2").split() == ["1", "2"]
 
 
 START_METHODS = multiprocessing.get_all_start_methods()
@@ -405,11 +419,20 @@ def test_run_tasks_keep_numpy_blas_on_one_thread(monkeypatch, workers, start_met
 def test_default_workers_fit_free_cores(monkeypatch):
     cores = len(os.sched_getaffinity(0))
     workers = studies.default_workers()
-    assert 1 <= workers <= max(1, cores // blas.max_threads())
-    monkeypatch.setattr(blas, "max_threads", lambda: 1)
+    assert 1 <= workers <= max(1, cores // blas.EIG_THREADS)
+    monkeypatch.setattr(blas, "EIG_THREADS", 1)
     assert studies.default_workers() == cores
-    monkeypatch.setattr(blas, "max_threads", lambda: cores + 1)
+    monkeypatch.setattr(blas, "EIG_THREADS", cores + 1)
     assert studies.default_workers() == 1
+
+
+def test_default_workers_follow_the_eigensolve_threads():
+    # read after the one-thread pin, numpy's library count would give one
+    # worker per core, each running an eigensolve on every core
+    code = "from arraymem import studies; print(studies.default_workers())"
+    assert _fresh_interpreter(code) == "1\n"
+    cores = len(os.sched_getaffinity(0))
+    assert _fresh_interpreter(code, OPENBLAS_NUM_THREADS="1") == f"{cores}\n"
 
 
 @pytest.mark.parametrize(
