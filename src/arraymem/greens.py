@@ -23,17 +23,20 @@ of the isotropic one, the same numbers to the last bit.
 M is solved in a real orthonormal basis Q of the space the beam can
 reach, as the complex symmetric Q^T M Q. On a perfect lattice M commutes
 with the mirrors x -> -x and y -> -y, and the x-polarized beam lies in one
-of their four symmetry sectors: Q spans that sector, about a quarter of
-the rows. Holes and disorder break the mirrors, and Q = I is the whole
-space.
+of their four symmetry sectors. In the z = 0 plane G_xz = G_yz = 0, so
+the z dipoles couple to no x or y dipole (Shahmoon et al., PRL 118,
+113601, 2017): the z rows of the sector carry modes with no x weight,
+which never reach the spin wave. Q spans the sector's x and y rows, about
+a quarter of the two-level rows and a sixth of the isotropic ones. Holes
+and disorder break the mirrors, and Q = I is the whole space.
 
 A perfect lattice's Q^T M Q is assembled without M. Two sites couple only
 through their per-axis coordinate differences, so G is evaluated once per
 pair of distinct differences (dx, dy), keyed by their exact floating-point
 values: the table takes the very inputs the pair path takes (77^2
-evaluations at N = 20, against 79,800 pairs). Each sector column is a
-product of 1D parity vectors P, so the block of components a, b is a
-separable contraction of the table T_ab,
+evaluations at N = 20, against 79,800 pairs), and holds the (x, y) blocks
+of G only. Each sector column is a product of 1D parity vectors P, so
+the block of components a, b is a separable contraction of the table T_ab,
 
     R_ab = C_x T_ab C_y^T,   C[p, p', k] = sum_{i, i'} P_a[i, p] P_b[i', p'] [k(i, i') = k],
 
@@ -64,8 +67,9 @@ ISOTROPIC = "isotropic"
 # dipole components (x, y, z)[:c] each atom keeps in the model
 COMPONENTS = {TWO_LEVEL: 1, ISOTROPIC: 3}
 # parities under the mirrors x -> -x and y -> -y of the site functions on
-# the x, y and z rows of the beam's sector
-SECTOR_PARITIES = ((1.0, 1.0), (-1.0, -1.0), (-1.0, 1.0))
+# the x and y rows of the beam's sector; its z rows (odd/even) are left
+# out, as planar z dipoles couple to no x or y dipole (module docstring)
+SECTOR_PARITIES = ((1.0, 1.0), (-1.0, -1.0))
 
 
 def _components(model: str) -> int:
@@ -143,8 +147,10 @@ def sector_basis(g: Geometry, model: str) -> SectorBasis:
     of 1D parity vectors. The (site, component) rows also flip with the
     mirrored component, and the beam (E_x even/even, E_z odd in x) lies in
     the sector whose x, y and z rows are even/even, odd/odd and odd/even
-    functions of the sites. The model keeps the first c of those blocks;
-    the x columns come first.
+    functions of the sites. Q spans the x and y blocks the model keeps,
+    the x columns first. The z block is left out: on the planar lattice
+    M's z rows couple to no x or y row, so its modes have no x weight
+    and change neither K nor eta, and the beam's E_z never reaches K.
     """
     c = _components(model)
     n = g.linear_size
@@ -235,6 +241,8 @@ def _difference_keys(coords: np.ndarray):
 
 def _sector_matrix(g: Geometry, c: int) -> np.ndarray:
     """Q^T M Q of a perfect lattice, from its coupling table (module docstring)."""
+    parities = SECTOR_PARITIES[:c]
+    c = len(parities)  # the components Q has rows on
     n = g.linear_size
     ux, onehot_x = _difference_keys(g.positions[::n, 0])
     uy, onehot_y = _difference_keys(g.positions[:n, 1])
@@ -260,8 +268,8 @@ def _sector_matrix(g: Geometry, c: int) -> np.ndarray:
     for a in range(c):
         row = []
         for b in range(c):
-            cx = contraction(onehot_x, SECTOR_PARITIES[a][0], SECTOR_PARITIES[b][0])
-            cy = contraction(onehot_y, SECTOR_PARITIES[a][1], SECTOR_PARITIES[b][1])
+            cx = contraction(onehot_x, parities[a][0], parities[b][0])
+            cy = contraction(onehot_y, parities[a][1], parities[b][1])
             r = np.tensordot(np.tensordot(table[:, :, a, b], cx, axes=(0, 0)), cy, axes=(0, 0))
             # (p, p', q, q') -> rows (p, q), columns (p', q'): the kron order
             p, p2, q, q2 = r.shape

@@ -14,8 +14,9 @@ two Bessel-kernel integrals over b = k_t/k0 in [0, 1]:
 Both are evaluated with the substitution b = sin(theta), which removes the
 endpoint singularity of the E^z kernel, followed by Gauss-Legendre
 quadrature with node doubling until successive levels agree to
-QUADRATURE_TOL. J0 and J1 are this module's own (j0, j1): committed
-Chebyshev series, within 1e-14 of scipy.special's on [0, 500].
+QUADRATURE_TOL. J0 and J1 are this module's own (_j0_j1, one pass for
+both): committed Chebyshev series, within 1e-14 of scipy.special's on
+[0, 500].
 """
 
 from __future__ import annotations
@@ -136,30 +137,27 @@ _J1_PHASE = np.array((
 ))
 
 
-def _bessel(x, nu, near, modulus, phase):
-    """J_nu at every x >= 0: a series in (x/8)^2 up to 8, modulus and phase
-    series in 8/x beyond."""
+def _j0_j1(x):
+    """J0 and J1 at every x >= 0, in one pass: series in (x/8)^2 up to 8,
+    modulus and phase series in 8/x beyond, sharing the masks and the
+    series variables."""
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
+    j0 = np.empty_like(x)
+    j1 = np.empty_like(x)
     small = x <= 8.0
     t = x[small] / 8.0
-    out[small] = chebval(2.0 * t * t - 1.0, near) * (t if nu else 1.0)
+    y = 2.0 * t * t - 1.0
+    j0[small] = chebval(y, _J0_NEAR)
+    j1[small] = chebval(y, _J1_NEAR) * t
     big = x[~small]
     u = 8.0 / big
     y = 2.0 * u * u - 1.0
-    shift = u * chebval(y, phase) - (2 * nu + 1) * np.pi / 4.0
-    out[~small] = np.sqrt(2.0 / (np.pi * big)) * chebval(y, modulus) * np.cos(big + shift)
-    return out
-
-
-def j0(x):
-    """Bessel function J0 of x >= 0."""
-    return _bessel(x, 0, _J0_NEAR, _J0_MODULUS, _J0_PHASE)
-
-
-def j1(x):
-    """Bessel function J1 of x >= 0."""
-    return _bessel(x, 1, _J1_NEAR, _J1_MODULUS, _J1_PHASE)
+    scale = np.sqrt(2.0 / (np.pi * big))
+    series = ((j0, _J0_MODULUS, _J0_PHASE), (j1, _J1_MODULUS, _J1_PHASE))
+    for nu, (out, modulus, phase) in enumerate(series):
+        shift = u * chebval(y, phase) - (2 * nu + 1) * np.pi / 4.0
+        out[~small] = scale * chebval(y, modulus) * np.cos(big + shift)
+    return j0, j1
 
 
 @functools.lru_cache(maxsize=None)
@@ -210,8 +208,8 @@ def _field_block(w0, rho, z, flux_weight, tables):
             weight = weight * c
         if n not in tables:
             phase = np.exp(1j * K0 * np.outer(c, z))
-            bess_arg = K0 * np.outer(s, rho)
-            tables[n] = (j0(bess_arg) * phase, j1(bess_arg) * phase)
+            j0, j1 = _j0_j1(K0 * np.outer(s, rho))
+            tables[n] = (j0 * phase, j1 * phase)
         j0_phase, j1_phase = tables[n]
         ex = (weight * c) @ j0_phase
         g = (weight * s) @ j1_phase

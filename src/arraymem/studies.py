@@ -30,7 +30,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -288,10 +287,13 @@ def _run_tasks(fn, tasks, workers):
     Tasks run numpy's BLAS on one thread outside the eigensolve either
     way: importing arraymem sets it (arraymem.blas), a forked worker
     inherits it, and a spawned or forkserver worker imports arraymem to
-    unpickle its task.
+    unpickle its task. The pool is imported only here: a serial run, and
+    the CLI's start-up, load no multiprocessing module.
     """
     if workers <= 1:
         return [fn(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunk = max(1, len(tasks) // (workers * 4))
         return list(pool.map(fn, tasks, chunksize=chunk))

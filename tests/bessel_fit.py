@@ -1,4 +1,4 @@
-"""Fit the Chebyshev coefficients of modes.j0 and modes.j1 with scipy.
+"""Fit the Chebyshev coefficients of J0 and J1 in modes._j0_j1 with scipy.
 
 Run from the repository root; prints the tables that modes.py commits:
 

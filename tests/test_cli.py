@@ -383,10 +383,12 @@ def test_descending_range_flag_is_an_argument_error(tmp_path, capsys):
 def test_cli_import_leaves_out_the_ode_solvers(tmp_path):
     # the ODE oracle and the scipy checks live with the tests; the CLI
     # loads no scipy module, neither at import nor in a solve, so scipy's
-    # import chain can move into neither its start-up nor its passes
+    # import chain can move into neither its start-up nor its passes. Nor
+    # does it load the worker pool's modules, which only a pool run needs
     code = (
         "import sys, arraymem.cli; "
-        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+        "roots = ('scipy', 'concurrent', 'multiprocessing'); "
+        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] in roots); "
         "print(loaded()); "
         f"arraymem.cli.main(['efficiency', '--N', '3', '--out', {str(tmp_path)!r}, "
         "'--no-timestamp']); "

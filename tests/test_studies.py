@@ -1,9 +1,9 @@
+import concurrent.futures
 import functools
 import multiprocessing
 import os
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -215,7 +215,7 @@ def test_a_waist_search_forms_the_waist_free_parts_once(monkeypatch):
     # geometry; a waist evaluation forms neither again, nor K itself
     monkeypatch.setattr(modes, "_last_points", ())
     kernels = counting(monkeypatch, spectral, "_pair_kernel")
-    tables = counting(monkeypatch, modes, "j0")
+    tables = counting(monkeypatch, modes, "_j0_j1")
     opt = studies.optimal_waist(build_square_array(6, 0.6), BEAM)
     assert opt.n_evaluations > 10
     assert len(kernels) == 1
@@ -406,8 +406,9 @@ def test_run_tasks_keep_numpy_blas_on_one_thread(monkeypatch, workers, start_met
     # thread, and nothing is restored afterwards
     if start_method is not None:
         context = multiprocessing.get_context(start_method)
-        pool = functools.partial(ProcessPoolExecutor, mp_context=context)
-        monkeypatch.setattr(studies, "ProcessPoolExecutor", pool)
+        pool = functools.partial(concurrent.futures.ProcessPoolExecutor, mp_context=context)
+        # studies imports the pool class when it runs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
     assert _numpy_threads() == 1
     assert studies._run_tasks(_numpy_threads, [0, 1, 2], workers) == [1] * 3
     assert _numpy_threads() == 1
