@@ -2,7 +2,9 @@
 
 Lengths are in units of the resonant wavelength. Arrays live in the z = 0
 plane and are centered on the origin, so the focus of the detection beam
-(on-axis, z = 0) coincides with the array center.
+(on-axis, z = 0) coincides with the array center. The plane is enforced:
+a position with z != 0 is refused, and every layer above relies on it
+(greens.COMPONENTS). Positions keep their three coordinates.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ MIN_SEPARATION = 1e-9
 class Geometry:
     """Immutable atom configuration.
 
-    positions:         (N_a, 3) array, wavelength units
+    positions:         (N_a, 3) array, wavelength units, z = 0
     lattice_constant:  lattice spacing d
     linear_size:       N for an N x N parent lattice
     hole_indices:      removed sites, indexed into the parent lattice
@@ -48,12 +50,18 @@ class Geometry:
         # a NaN position would pass the separation check: NaN <= x is False
         if not np.all(np.isfinite(pos)):
             raise InvalidArgumentError("atom positions must be finite")
+        if np.any(pos[:, 2] != 0.0):
+            raise InvalidArgumentError("atoms must lie in the z = 0 plane")
         site = self.site_indices
         if site is None:
             site = np.arange(len(pos))
-        site = np.asarray(site, dtype=int)
+        site = np.asarray(site)
         if site.shape != (len(pos),):
             raise InvalidArgumentError("site_indices must match atom count")
+        # a float index would be truncated, a boolean read as 0 or 1
+        if site.dtype.kind not in "iu":
+            raise InvalidArgumentError(f"site_indices must be integers, got {site.dtype}")
+        site = site.astype(int)
         pos.setflags(write=False)
         site.setflags(write=False)
         object.__setattr__(self, "positions", pos)
@@ -145,8 +153,9 @@ def remove_holes(g: Geometry, holes) -> Geometry:
         raise InvalidArgumentError("hole indices must be distinct")
     n_sites = g.linear_size**2
     for h in holes:
-        if not isinstance(h, (int, np.integer)) or h < 0 or h >= n_sites:
-            raise InvalidArgumentError(f"hole index {h!r} outside 0..{n_sites - 1}")
+        # True is an int, and would remove site 1
+        if isinstance(h, bool) or not isinstance(h, (int, np.integer)) or not 0 <= h < n_sites:
+            raise InvalidArgumentError(f"hole index {h!r} is not an integer in 0..{n_sites - 1}")
         if h in g.hole_indices:
             raise InvalidArgumentError(f"site {h} was already removed")
     if not holes:

@@ -7,7 +7,8 @@ The dyadic Green's function of the vector wave equation,
 
 couples pairs of dipoles. In wavelength units k = 2 pi and single-atom
 rates are measured in units of the vacuum decay rate. Each atom keeps c
-dipole components, the first c of (x, y, z): c = 3 in the isotropic
+dipole components, the first c of (x, y) (COMPONENTS, which says why the
+isotropic atoms' z dipoles are left out): c = 2 in the isotropic
 (three-excited-state) model, c = 1 in the two-level model, whose dipoles
 all lie along the beam polarization x. The coupling matrix has one row per
 (atom, component),
@@ -23,20 +24,18 @@ of the isotropic one, the same numbers to the last bit.
 M is solved in a real orthonormal basis Q of the space the beam can
 reach, as the complex symmetric Q^T M Q. On a perfect lattice M commutes
 with the mirrors x -> -x and y -> -y, and the x-polarized beam lies in one
-of their four symmetry sectors. In the z = 0 plane G_xz = G_yz = 0, so
-the z dipoles couple to no x or y dipole (Shahmoon et al., PRL 118,
-113601, 2017): the z rows of the sector carry modes with no x weight,
-which never reach the spin wave. Q spans the sector's x and y rows, about
-a quarter of the two-level rows and a sixth of the isotropic ones. Holes
-and disorder break the mirrors, and Q = I is the whole space.
+of their four symmetry sectors, whose x and y rows Q spans: about a
+quarter of the rows of M. Holes and disorder break the mirrors, and Q = I
+is the whole space. Q is never formed: the spin wave and the beam reach M
+through its x rows only, which SectorBasis keeps.
 
 A perfect lattice's Q^T M Q is assembled without M. Two sites couple only
 through their per-axis coordinate differences, so G is evaluated once per
 pair of distinct differences (dx, dy), keyed by their exact floating-point
 values: the table takes the very inputs the pair path takes (77^2
-evaluations at N = 20, against 79,800 pairs), and holds the (x, y) blocks
-of G only. Each sector column is a product of 1D parity vectors P, so
-the block of components a, b is a separable contraction of the table T_ab,
+evaluations at N = 20, against 79,800 pairs). Each sector column is a
+product of 1D parity vectors P, so the block of components a, b is a
+separable contraction of the table T_ab,
 
     R_ab = C_x T_ab C_y^T,   C[p, p', k] = sum_{i, i'} P_a[i, p] P_b[i', p'] [k(i, i') = k],
 
@@ -64,11 +63,15 @@ K0 = 2.0 * np.pi
 
 TWO_LEVEL = "two-level"
 ISOTROPIC = "isotropic"
-# dipole components (x, y, z)[:c] each atom keeps in the model
-COMPONENTS = {TWO_LEVEL: 1, ISOTROPIC: 3}
+# Dipole components (x, y)[:c] each atom keeps in the model. The arrays are
+# planar (geometry refuses z != 0), and in their plane G_xz = G_yz = 0: a z
+# dipole couples to no x or y dipole (Shahmoon et al., PRL 118, 113601,
+# 2017). The spin wave and the beam enter M through the x dipoles alone
+# (the beam through E_x), so z dipoles never change eta, and the
+# isotropic atoms keep x and y.
+COMPONENTS = {TWO_LEVEL: 1, ISOTROPIC: 2}
 # parities under the mirrors x -> -x and y -> -y of the site functions on
-# the x and y rows of the beam's sector; its z rows (odd/even) are left
-# out, as planar z dipoles couple to no x or y dipole (module docstring)
+# the x and y rows of the beam's sector
 SECTOR_PARITIES = ((1.0, 1.0), (-1.0, -1.0))
 
 
@@ -100,18 +103,20 @@ def _coupling_blocks(dr: np.ndarray, c: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SectorBasis:
-    """Real orthonormal basis of the space M is solved in: the mirror sector
-    a perfect lattice's x-polarized beam excites, or the whole space.
+    """Real orthonormal basis Q of the space M is solved in: the mirror
+    sector a perfect lattice's x-polarized beam excites, or the whole space.
 
-    q:    (size, n) columns over the rows of M
-    q_x:  (N_a, n_x) the x rows of the columns x of q, the only columns
-          with weight on the rows the spin wave couples to
-    x:    the slice of q's columns that carry the x rows
+    Q itself is not stored: the spin wave and the beam couple to M
+    through its x rows, on which only the columns x of Q have weight.
+
+    q_x:      (N_a, n_x) the x rows of the columns x of Q
+    x:        the slice of Q's columns that carry the x rows
+    columns:  the number of Q's columns, the order of Q^T M Q
     """
 
-    q: np.ndarray
     q_x: np.ndarray
     x: slice
+    columns: int
 
     @property
     def n_atoms(self) -> int:
@@ -121,9 +126,7 @@ class SectorBasis:
 def whole_space(n_atoms: int, model: str) -> SectorBasis:
     """Q = I over the rows of M; the x rows are every c-th."""
     c = _components(model)
-    q = np.eye(c * n_atoms)
-    x = slice(0, None, c)
-    return SectorBasis(q=q, q_x=q[x, x], x=x)
+    return SectorBasis(q_x=np.eye(n_atoms), x=slice(0, None, c), columns=c * n_atoms)
 
 
 def _parity_basis(n: int, sign: float) -> np.ndarray:
@@ -145,12 +148,9 @@ def sector_basis(g: Geometry, model: str) -> SectorBasis:
     Site i*N + j sits at x index i and y index j, so a function of the
     sites with parities (a, b) under the two mirrors is a Kronecker product
     of 1D parity vectors. The (site, component) rows also flip with the
-    mirrored component, and the beam (E_x even/even, E_z odd in x) lies in
-    the sector whose x, y and z rows are even/even, odd/odd and odd/even
-    functions of the sites. Q spans the x and y blocks the model keeps,
-    the x columns first. The z block is left out: on the planar lattice
-    M's z rows couple to no x or y row, so its modes have no x weight
-    and change neither K nor eta, and the beam's E_z never reaches K.
+    mirrored component, and the beam (E_x even/even) lies in the sector
+    whose x and y rows are even/even and odd/odd functions of the sites.
+    Q spans the blocks the model keeps, the x columns first.
     """
     c = _components(model)
     n = g.linear_size
@@ -164,12 +164,8 @@ def sector_basis(g: Geometry, model: str) -> SectorBasis:
     blocks = [
         np.kron(_parity_basis(n, a), _parity_basis(n, b)) for a, b in SECTOR_PARITIES[:c]
     ]
-    q = np.zeros((c * n * n, sum(b.shape[1] for b in blocks)))
-    col = 0
-    for component, b in enumerate(blocks):
-        q[component::c, col : col + b.shape[1]] = b
-        col += b.shape[1]
-    return SectorBasis(q=q, q_x=blocks[0], x=slice(0, blocks[0].shape[1]))
+    q_x = blocks[0]
+    return SectorBasis(q_x=q_x, x=slice(0, q_x.shape[1]), columns=sum(b.shape[1] for b in blocks))
 
 
 @dataclass(frozen=True)
@@ -183,7 +179,7 @@ class InteractionMatrix:
               space, greens.sector_basis a perfect lattice's mirror sector
 
     M itself, entries, is (c N_a, c N_a) with rows and columns ordered
-    atom-major as (atom 0 x[, y, z], atom 1 x[, y, z], ...). It is formed
+    atom-major as (atom 0 x[, y], atom 1 x[, y], ...). It is formed
     pair by pair only when something reads it: in_basis() assembles a
     perfect lattice's Q^T M Q from the coupling table without it.
     """
@@ -192,20 +188,16 @@ class InteractionMatrix:
     model: str
     basis: SectorBasis
 
-    @property
-    def size(self) -> int:
-        """Rows of M."""
-        return self.basis.q.shape[0]
-
     @functools.cached_property
     def entries(self) -> np.ndarray:
         return _pair_matrix(self.geometry.positions, _components(self.model))
 
     def in_basis(self) -> np.ndarray:
         """Q^T M Q, exactly symmetric: M itself in the whole space."""
-        if self.basis.q.shape[1] == self.size:
+        c = _components(self.model)
+        if self.basis.columns == c * self.basis.n_atoms:
             return self.entries
-        return _sector_matrix(self.geometry, _components(self.model))
+        return _sector_matrix(self.geometry, c)
 
 
 def interaction_matrix(g: Geometry, model: str = TWO_LEVEL) -> InteractionMatrix:
@@ -242,7 +234,6 @@ def _difference_keys(coords: np.ndarray):
 def _sector_matrix(g: Geometry, c: int) -> np.ndarray:
     """Q^T M Q of a perfect lattice, from its coupling table (module docstring)."""
     parities = SECTOR_PARITIES[:c]
-    c = len(parities)  # the components Q has rows on
     n = g.linear_size
     ux, onehot_x = _difference_keys(g.positions[::n, 0])
     uy, onehot_y = _difference_keys(g.positions[:n, 1])

@@ -1,22 +1,22 @@
-"""Exact evanescent-free Gaussian-like detection mode.
+"""Exact evanescent-free Gaussian-like detection mode, sampled in its focal plane.
 
 The beam is defined in wavevector space by a Gaussian amplitude on the
 propagating disk,
 
     E_x(k_x, k_y) ~ exp(-(k_x^2 + k_y^2) w0^2 / 4),   k_x^2 + k_y^2 <= k0^2,
 
-with E_y = 0 and E_z fixed by transversality. Fourier transforming gives
-two Bessel-kernel integrals over b = k_t/k0 in [0, 1]:
+with E_y = 0 and E_z fixed by transversality. The atoms sit in the focal
+plane z = 0, where the beam reaches their dipoles through E^x alone
+(greens.COMPONENTS). There the Fourier transform is one real
+Bessel-kernel integral over b = k_t/k0 in [0, 1]:
 
-    E^x(rho, z) = Int db b  exp(-b^2 k0^2 w0^2/4) exp(i k0 z sqrt(1-b^2)) J0(b k0 rho)
-    E^z(rho, z) = -i (x/rho) Int db b^2/sqrt(1-b^2) (same weights) J1(b k0 rho)
+    E^x(rho) = Int db b exp(-b^2 k0^2 w0^2/4) J0(b k0 rho),
 
-Both are evaluated with the substitution b = sin(theta), which removes the
-endpoint singularity of the E^z kernel, followed by Gauss-Legendre
+evaluated with the substitution b = sin(theta) and Gauss-Legendre
 quadrature with node doubling until successive levels agree to
-QUADRATURE_TOL. J0 and J1 are this module's own (_j0_j1, one pass for
-both): committed Chebyshev series, within 1e-14 of scipy.special's on
-[0, 500].
+QUADRATURE_TOL. J0 is this module's own (_j0): a committed Chebyshev
+series, within 1e-14 of scipy.special.j0 on [0, 500]. The norms
+integrate |E|^2, E_z included, over the propagating disk in k-space.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from numpy.polynomial.chebyshev import chebval
 
 from .errors import InvalidArgumentError, NumericalError
 from .geometry import Geometry
-from .greens import TWO_LEVEL, K0, _components
+from .greens import K0
 
 _PANEL_ORDER = 32
 _MAX_PANELS = 1 << 10
@@ -39,7 +39,7 @@ QUADRATURE_TOL = 1e-10  # largest change of a field value between the last two l
 
 _base_x, _base_w = np.polynomial.legendre.leggauss(_PANEL_ORDER)
 
-# Chebyshev coefficients of J0 and J1, fitted to scipy.special once by
+# Chebyshev coefficients of J0, fitted to scipy.special once by
 # tests/bessel_fit.py, whose docstring gives the two forms they enter.
 _J0_NEAR = np.array((
     0.1577279714748901,
@@ -88,76 +88,22 @@ _J0_PHASE = np.array((
     -6.375339701324522e-16,
     1.195355362003142e-16,
 ))
-_J1_NEAR = np.array((
-    0.648358770605265,
-    -1.1918011605412173,
-    1.2879940988576788,
-    -0.6614439341345435,
-    0.177709117239728,
-    -0.029175524806153996,
-    0.003240270182683694,
-    -0.00026044438934893225,
-    1.588701923946607e-05,
-    -7.61758780465509e-07,
-    2.9497069528190014e-08,
-    -9.424211847507105e-10,
-    2.5280168356857987e-11,
-    -5.778258086962862e-13,
-    1.0992708363489831e-14,
-    2.7796880579602267e-17,
-    -9.806867565664002e-16,
-))
-_J1_MODULUS = np.array((
-    1.0014479976616393,
-    0.0014425159303077869,
-    -5.404894863390766e-06,
-    7.459524732254167e-08,
-    -2.136705019034168e-09,
-    9.773680411224155e-11,
-    -6.215089959116612e-12,
-    5.062468195584895e-13,
-    -4.997656387886724e-14,
-    5.895424868191771e-15,
-    -6.71851831904838e-16,
-    1.5596612117213049e-16,
-))
-_J1_PHASE = np.array((
-    0.04671872325224191,
-    -0.00015500971430805805,
-    1.2406555300276326e-06,
-    -2.5379613395377062e-08,
-    9.41995217928251e-10,
-    -5.207703746030109e-11,
-    3.83775342345926e-12,
-    -3.523166249504251e-13,
-    3.86105909246665e-14,
-    -4.959864512722258e-15,
-    8.040210714151453e-16,
-    -1.9507258657764663e-16,
-))
 
 
-def _j0_j1(x):
-    """J0 and J1 at every x >= 0, in one pass: series in (x/8)^2 up to 8,
-    modulus and phase series in 8/x beyond, sharing the masks and the
-    series variables."""
+def _j0(x):
+    """J0 at every x >= 0: a series in (x/8)^2 up to 8, modulus and phase
+    series in 8/x beyond."""
     x = np.asarray(x, dtype=float)
     j0 = np.empty_like(x)
-    j1 = np.empty_like(x)
     small = x <= 8.0
     t = x[small] / 8.0
-    y = 2.0 * t * t - 1.0
-    j0[small] = chebval(y, _J0_NEAR)
-    j1[small] = chebval(y, _J1_NEAR) * t
+    j0[small] = chebval(2.0 * t * t - 1.0, _J0_NEAR)
     big = x[~small]
     u = 8.0 / big
     y = 2.0 * u * u - 1.0
-    scale = np.sqrt(2.0 / (np.pi * big))
-    series = ((j0, _J0_MODULUS, _J0_PHASE), (j1, _J1_MODULUS, _J1_PHASE))
-    for nu, (out, modulus, phase) in enumerate(series):
-        shift = u * chebval(y, phase) - (2 * nu + 1) * np.pi / 4.0
-        out[~small] = scale * chebval(y, modulus) * np.cos(big + shift)
-    return j0, j1
+    shift = u * chebval(y, _J0_PHASE) - np.pi / 4.0
+    j0[~small] = np.sqrt(2.0 / (np.pi * big)) * chebval(y, _J0_MODULUS) * np.cos(big + shift)
+    return j0
 
 
 @functools.lru_cache(maxsize=None)
@@ -185,42 +131,28 @@ def _start_panels(max_arg: float) -> int:
     return n
 
 
-def _field_block(w0, rho, z, flux_weight, tables):
-    """Adaptive evaluation of (E^x, g) on a batch of (rho, z) points.
+def _field_block(w0, rho, tables):
+    """Adaptive evaluation of E^x in the focal plane on a batch of radii.
 
-    g is the azimuth-free part of the z-component: E^z = -i (x/rho) g.
-    With flux_weight the spectrum is multiplied by k_z/k0, producing the
-    auxiliary field whose plane overlaps measure photon flux (the plane
-    quadrature of tests/field_oracle.py). The Bessel tables of each panel
-    count, which do not depend on the waist, are kept in tables.
+    The J0 tables of each panel count, which do not depend on the waist,
+    are kept in tables.
     """
     a = (K0 * w0) ** 2 / 4.0
-    karg = K0 * (np.max(rho) + np.max(np.abs(z)) if len(rho) else 0.0)
-    n = _start_panels(karg)
+    n = _start_panels(K0 * np.max(rho) if len(rho) else 0.0)
     prev = None
     err = np.inf
     while n <= _MAX_PANELS:
         theta, w = _gl_rule(n)
         s = np.sin(theta)
-        c = np.cos(theta)
         weight = w * s * np.exp(-a * s * s)
-        if flux_weight:
-            weight = weight * c
         if n not in tables:
-            phase = np.exp(1j * K0 * np.outer(c, z))
-            j0, j1 = _j0_j1(K0 * np.outer(s, rho))
-            tables[n] = (j0 * phase, j1 * phase)
-        j0_phase, j1_phase = tables[n]
-        ex = (weight * c) @ j0_phase
-        g = (weight * s) @ j1_phase
+            tables[n] = _j0(K0 * np.outer(s, rho))
+        ex = (weight * np.cos(theta)) @ tables[n]
         if prev is not None:
-            err = max(
-                np.max(np.abs(ex - prev[0]), initial=0.0),
-                np.max(np.abs(g - prev[1]), initial=0.0),
-            )
+            err = np.max(np.abs(ex - prev), initial=0.0)
             if err <= QUADRATURE_TOL:
-                return ex, g
-        prev = (ex, g)
+                return ex
+        prev = ex
         n *= 2
     raise NumericalError(
         f"field quadrature did not converge below {QUADRATURE_TOL:g} "
@@ -229,35 +161,25 @@ def _field_block(w0, rho, z, flux_weight, tables):
     )
 
 
-# The last (rho, z) sampled, its distinct points, inverse and Bessel tables
-# by chunk and panel count: a waist search samples one geometry at every waist.
+# The last radii sampled, their distinct values, inverse and J0 tables by
+# chunk and panel count: a waist search samples one geometry at every waist.
 _last_points: tuple = ()
 
 
-def _field_components(w0, rho, z, flux_weight=False):
-    """Chunked wrapper around _field_block, run once per distinct (rho, z).
-
-    The fields depend on the point only through (rho, z), which a centred
-    lattice repeats up to eight times.
-    """
+def _field_x(w0, rho):
+    """Chunked wrapper around _field_block, run once per distinct radius,
+    which a centred lattice repeats up to eight times."""
     global _last_points
-    rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    last = _last_points
-    if not (last and np.array_equal(last[0], rho) and np.array_equal(last[1], z)):
-        points, inverse = np.unique(
-            np.stack([rho, z], axis=1), axis=0, return_inverse=True
-        )
-        _last_points = (rho.copy(), z.copy(), points, inverse.reshape(-1), {})
-    _, _, points, inverse, tables = _last_points
-    ex = np.empty(len(points), dtype=complex)
-    g = np.empty(len(points), dtype=complex)
+    rho = np.asarray(rho, dtype=float)
+    if not (_last_points and np.array_equal(_last_points[0], rho)):
+        points, inverse = np.unique(rho, return_inverse=True)
+        _last_points = (rho.copy(), points, inverse.reshape(-1), {})
+    _, points, inverse, tables = _last_points
+    ex = np.empty(len(points))
     for lo in range(0, len(points), _FIELD_CHUNK):
         sl = slice(lo, lo + _FIELD_CHUNK)
-        ex[sl], g[sl] = _field_block(
-            w0, points[sl, 0], points[sl, 1], flux_weight, tables.setdefault(lo, {})
-        )
-    return ex[inverse], g[inverse]
+        ex[sl] = _field_block(w0, points[sl], tables.setdefault(lo, {}))
+    return ex[inverse]
 
 
 @dataclass(frozen=True)
@@ -291,19 +213,8 @@ def _waist(m: DetectionMode) -> float:
     return m.w0
 
 
-def _field_vectors(m: DetectionMode, pos: np.ndarray, c: int) -> np.ndarray:
-    """The first c components of (E^x, 0, E^z) of the +z beam at each row
-    of pos, one quadrature batch."""
-    rho = np.hypot(pos[:, 0], pos[:, 1])
-    ex, g = _field_components(_waist(m), rho, pos[:, 2])
-    ez = np.zeros_like(ex)  # J1(0) = 0 on the axis
-    off_axis = rho != 0.0
-    ez[off_axis] = -1j * (pos[off_axis, 0] / rho[off_axis]) * g[off_axis]
-    return np.stack((ex, np.zeros_like(ex), ez)[:c], axis=1)
-
-
 @functools.lru_cache(maxsize=256)
-def _radial_norm_integral(w0: float, flux_weighted: bool) -> float:
+def _radial_norm_integral(w0: float, flux: bool) -> float:
     """Radial k-space integral common to both norms, b = sin(theta).
 
     Cached: a pure function of the waist, asked for by every mode of a
@@ -316,7 +227,7 @@ def _radial_norm_integral(w0: float, flux_weighted: bool) -> float:
         s = np.sin(theta)
         c = np.cos(theta)
         integrand = s * (2.0 - s * s) * np.exp(-two_a * s * s)
-        if not flux_weighted:
+        if not flux:
             integrand = integrand / c
         return float(w @ integrand)
 
@@ -329,8 +240,8 @@ def _radial_norm_integral(w0: float, flux_weighted: bool) -> float:
     # tail carries weight exp(-k0^2 w0^2 / 2) and creeps logarithmically
     # with refinement; accept the capped value. The flux norm reaches it,
     # and either norm underflows to zero, only for a beam too wide to resolve.
-    if cur <= 0.0 or (flux_weighted and not converged):
-        kind = "flux" if flux_weighted else "surface"
+    if cur <= 0.0 or (flux and not converged):
+        kind = "flux" if flux else "surface"
         raise NumericalError(
             f"{kind} norm of a beam of waist {w0:g} not resolved ({cur:.3g} "
             f"with {n * _PANEL_ORDER} nodes): the beam is too wide",
@@ -347,7 +258,7 @@ def mode_norm(m: DetectionMode) -> float:
     radial quadrature; the propagation phases are unimodular, so the
     result does not depend on the plane z = const chosen.
     """
-    return np.pi / K0**2 * _radial_norm_integral(_waist(m), flux_weighted=False)
+    return np.pi / K0**2 * _radial_norm_integral(_waist(m), flux=False)
 
 
 def mode_flux_norm(m: DetectionMode) -> float:
@@ -358,17 +269,17 @@ def mode_flux_norm(m: DetectionMode) -> float:
     photons per unit time; it agrees with the surface norm to O((lambda/w0)^2)
     but has no grazing-wave singularity (the integrand is entire).
     """
-    return np.pi / K0**2 * _radial_norm_integral(_waist(m), flux_weighted=True)
+    return np.pi / K0**2 * _radial_norm_integral(_waist(m), flux=True)
 
 
 @dataclass(frozen=True)
 class ModeSamples:
     """Detection-mode field sampled at the atoms plus the flux norm.
 
-    values: (N_a, c) complex field components E_det(r_j), the first c of
-    (x, y, z) that the model's dipoles keep: (N_a, 1) holds E^x for the
-    two-level model, (N_a, 3) the full vector for the isotropic one.
-    f_flux is the photon-flux norm entering efficiencies.
+    values: (N_a,) E^x(r_j) of the +z beam at each atom, real in the focal
+    plane; it is all of the beam that either model's dipoles see
+    (greens.COMPONENTS). f_flux is the photon-flux norm entering
+    efficiencies.
     """
 
     values: np.ndarray
@@ -380,18 +291,12 @@ class ModeSamples:
     def n_atoms(self) -> int:
         return len(self.values)
 
-    def intensities(self) -> np.ndarray:
-        """|E_j|^2 per atom, summed over the kept components."""
-        return (np.abs(self.values) ** 2).sum(axis=1)
 
-
-def sample_mode(m: DetectionMode, g: Geometry, model: str = TWO_LEVEL) -> ModeSamples:
-    """Sample the +z beam at the atom positions, the model's c components."""
-    c = _components(model)
+def sample_mode(m: DetectionMode, g: Geometry) -> ModeSamples:
+    """Sample E^x of the +z beam at the atom positions."""
     return ModeSamples(
-        values=_field_vectors(m, g.positions, c),
+        values=_field_x(_waist(m), np.hypot(g.positions[:, 0], g.positions[:, 1])),
         f_flux=mode_flux_norm(m),
         w0=m.w0,
         two_sided=m.two_sided,
     )
-

@@ -17,14 +17,15 @@ exponentials, so K is Hermitian and positive semidefinite; the optimum spin
 wave is the conjugate of its top eigenvector.
 
 The eigensystem is solved in a basis Q (greens.SectorBasis): the beam's
-mirror sector of a perfect lattice, or the whole space. The mode
-projection contracts the full sampled field with Q, while the spin wave
-couples through the columns of Q that carry the x rows only: M has
-c N_a rows, one per atom and kept dipole component. K is assembled
-over those columns, whose x rows form Q_x; the K over the atoms is
-Q_x K Q_x^T, so an atom-space spin wave s enters as Q_x^T s and the
-optimum lifts back as Q_x times the top eigenvector. In the whole space
-Q_x = I.
+mirror sector of a perfect lattice, or the whole space. M has c N_a
+rows, one per atom and kept dipole component, and both the spin wave and
+the beam (through E_x, greens.COMPONENTS) couple to its x rows alone.
+Only the columns x of Q have weight there, and their x rows form Q_x.
+With V_x the matching rows of the eigenvectors, a vector v over the atoms
+enters the eigenmodes as V_x^T Q_x^T v: the beam as P = V_x^T Q_x^T E*,
+and the spin wave alike. K is assembled over the columns x; the K over
+the atoms is Q_x K Q_x^T, and the optimum lifts back as Q_x times the top
+eigenvector. In the whole space Q_x = I.
 
 K = V_x W V_x^H is formed only on request: a solve assembles the mode
 Gram matrix W, and the top eigenpair comes from a block Rayleigh-Ritz
@@ -54,17 +55,19 @@ RITZ_BLOCK = 4
 MAX_RITZ_ITERATIONS = 100
 
 
+def _x_contraction(dec: SpectralDecomposition, v: np.ndarray) -> np.ndarray:
+    """V_x^T Q_x^T v: a vector v over the atoms' x dipoles in the eigenmodes."""
+    return dec.eigenvectors[dec.basis.x].T @ (dec.basis.q_x.T @ v)
+
+
 def mode_projections(dec: SpectralDecomposition, samples: ModeSamples) -> np.ndarray:
     """P_xi = v_xi . E*: overlap of each eigenmode with the detection mode."""
-    field = samples.values.conj().reshape(-1)
-    if samples.n_atoms != dec.basis.n_atoms or len(field) != dec.size:
+    if samples.n_atoms != dec.basis.n_atoms:
         raise InvalidArgumentError(
-            f"samples of shape {samples.values.shape} do not match a decomposition "
-            f"of {dec.size} rows over {dec.basis.n_atoms} atoms"
+            f"samples over {samples.n_atoms} atoms do not match a decomposition "
+            f"over {dec.basis.n_atoms}"
         )
-    # q is real: two real products spare casting all of q to complex
-    q = dec.basis.q
-    return dec.eigenvectors.T @ (q.T @ field.real + 1j * (q.T @ field.imag))
+    return _x_contraction(dec, samples.values.conj())
 
 
 def efficiency_prefactor(samples: ModeSamples) -> float:
@@ -204,9 +207,7 @@ def _check_spin_wave(s, n_atoms: int) -> np.ndarray:
 def mode_amplitudes(mat: EfficiencyMatrix, s) -> np.ndarray:
     """a = V_x^T Q_x^T s, the modes that a unit spin wave s over the atoms
     excites; what lies outside the basis never reaches the beam."""
-    basis = mat.dec.basis
-    s = _check_spin_wave(s, basis.n_atoms)
-    return mat.dec.eigenvectors[basis.x].T @ (basis.q_x.T @ s)
+    return _x_contraction(mat.dec, _check_spin_wave(s, mat.dec.basis.n_atoms))
 
 
 def efficiency_of_spin_wave(mat: EfficiencyMatrix, s) -> float:

@@ -80,11 +80,6 @@ class SpectralDecomposition:
     basis: SectorBasis
     trace_residual: float = 0.0
 
-    @property
-    def size(self) -> int:
-        """Rows of M."""
-        return self.basis.q.shape[0]
-
     @functools.cached_property
     def pair_kernel(self) -> np.ndarray:
         """i / (lambda_xi - lambda_xi'^*), formed once: every waist solved on

@@ -88,7 +88,7 @@ def solve(g, mode: DetectionMode, model: str = TWO_LEVEL) -> EfficiencyMatrix:
     """
     if mode.w0 is None:
         return optimal_waist(g, mode, model).result
-    return k_matrix(_eigensystem(g, model), sample_mode(mode, g, model))
+    return k_matrix(_eigensystem(g, model), sample_mode(mode, g))
 
 
 def scan_waist(g, mode: DetectionMode, w0_list, model: str = TWO_LEVEL) -> list:
@@ -103,10 +103,10 @@ def scan_waist(g, mode: DetectionMode, w0_list, model: str = TWO_LEVEL) -> list:
     dec = _eigensystem(g, model)
     rows = []
     for w0 in w0_list:
-        sol = k_matrix(dec, sample_mode(replace(mode, w0=w0), g, model)).solution
+        sol = k_matrix(dec, sample_mode(replace(mode, w0=w0), g)).solution
         eps = 1.0 - sol.eta_max
-        if not -1e-9 <= eps <= 1.0 + 1e-9:
-            raise InvalidArgumentError(f"error {eps!r} outside [0, 1]")
+        if not -1e-9 <= eps <= 1.0 + 1e-9:  # a solve that broke the bound, not an input
+            raise NumericalError(f"error {eps!r} outside [0, 1]", achieved=max(-eps, eps - 1.0))
         rows.append(
             {
                 "w0": w0,
@@ -198,7 +198,7 @@ def optimal_waist(g, mode: DetectionMode, model: str = TWO_LEVEL) -> OptimalWais
         w0 = round(float(w0), 12)
         if w0 not in evaluations:
             try:
-                samples = sample_mode(replace(mode, w0=w0), g, model)
+                samples = sample_mode(replace(mode, w0=w0), g)
             except NumericalError:  # a beam too wide to resolve
                 evaluations[w0] = 1.0
                 return 1.0
@@ -346,7 +346,7 @@ def hole_study(
         raise InvalidArgumentError("hole counts must stay within 20% of the sites")
     res0 = solve(build_square_array(n, d), mode)
     eta0, samples0 = res0.eta, res0.samples
-    weights = samples0.intensities()
+    weights = samples0.values ** 2
     total_intensity = float(weights.sum())
 
     rng = np.random.default_rng(seed)

@@ -103,16 +103,17 @@ def evolve(
         raise InvalidArgumentError("t_end must be positive")
     s0 = _check_spin_wave(s0, m.basis.n_atoms)
     times = np.linspace(0.0, t_end, n_steps)
-    c = m.size // m.basis.n_atoms  # M has a row per (atom, dipole component)
+    size = len(m.entries)
+    c = size // m.basis.n_atoms  # M has a row per (atom, dipole component)
 
     if schedule.kind == PI_PULSE:
         # the pi-pulse puts the spin wave into the x dipoles
-        e0 = np.zeros(m.size, dtype=complex)
+        e0 = np.zeros(size, dtype=complex)
         e0[::c] = s0
         if method == "spectral":
             if dec is None:
                 dec = eigendecompose(m)
-            if dec.basis.q.shape[1] < m.size:
+            if dec.basis.columns < size:
                 raise InvalidArgumentError(
                     "evolve propagates every mode, not those of a symmetry sector"
                 )
@@ -143,7 +144,6 @@ def evolve(
         return AmplitudeTrajectory(times=times, e=e_t, s=s_t)
 
     # piecewise-constant control: integrate [e; s] segment by segment
-    size = m.size
     a = m.entries
 
     def rhs_factory(omega, delta):
@@ -200,9 +200,11 @@ def evolve(
 
 
 def detected_amplitude(samples: ModeSamples, e_rows: np.ndarray) -> np.ndarray:
-    """Projection of excited amplitudes onto the detection mode, per time."""
-    fld = samples.values.conj().reshape(-1)
-    return np.atleast_2d(e_rows) @ fld
+    """Projection of excited amplitudes onto the detection mode, per time:
+    the beam reaches the x dipoles only."""
+    e_rows = np.atleast_2d(e_rows)
+    c = e_rows.shape[1] // samples.n_atoms
+    return e_rows[:, ::c] @ samples.values.conj()
 
 
 def eta_from_trajectory(

@@ -244,11 +244,14 @@ def test_criterion_11_invariant_suite():
         worst["eta_dense"] = max(worst["eta_dense"], abs(sol.eta_max - eta_dense))
         worst["bilinear"] = max(worst["bilinear"], dec.bilinear_condition)
         worst["completeness"] = max(worst["completeness"], dec.completeness_residual)
-        trace_rel = abs(dec.eigenvalues.sum() - 0.5j * dec.size) / (0.5 * dec.size)
+        size = len(dec.eigenvalues)
+        trace_rel = abs(dec.eigenvalues.sum() - 0.5j * size) / (0.5 * size)
         worst["trace"] = max(worst["trace"], trace_rel)
         worst["eta_excess"] = max(worst["eta_excess"], sol.eta_max - 1.0)
 
-    chk = validate_projection(DetectionMode(w0=2.0), [0, 0, 0], [1, 0, 0], 5.0)
+    # the package's sample at a dipole on the beam axis against the plane integral
+    e_x = sample_mode(DetectionMode(w0=2.0), build_square_array(1, 0.6)).values[0]
+    chk = validate_projection(2.0, [e_x, 0.0, 0.0], [0, 0, 0], [1, 0, 0], 5.0)
     ok = (
         worst["hermiticity"] < 1e-10
         and worst["bilinear"] < 1e-8

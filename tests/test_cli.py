@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -305,7 +306,7 @@ def test_finite_time_command(tmp_path, capsys, monkeypatch):
     calls = []
 
     def counted(m):
-        calls.append(m.size)
+        calls.append(m.geometry.n_atoms)
         return eigendecompose(m)
 
     monkeypatch.setattr(studies, "eigendecompose", counted)
@@ -645,6 +646,19 @@ def test_a_beam_too_wide_to_resolve_is_a_numerical_failure(tmp_path, capsys, w0)
     assert code == 1
     assert err.startswith("numerical failure:") and "Traceback" not in err
     assert "eta=" not in out
+
+
+def test_a_scan_error_outside_the_unit_interval_is_a_numerical_failure(
+    tmp_path, capsys, monkeypatch
+):
+    solved = SimpleNamespace(solution=SimpleNamespace(eta_max=1.5, diagnostics={}))
+    monkeypatch.setattr(studies, "k_matrix", lambda dec, samples: solved)
+    code, _, err = run(
+        ["scan-waist", "--N", "3", "--w0-points", "3", "--out", str(tmp_path), "--no-timestamp"],
+        capsys,
+    )
+    assert code == 1
+    assert err.startswith("numerical failure:") and "outside [0, 1]" in err
 
 
 @pytest.mark.parametrize(

@@ -65,6 +65,33 @@ def test_out_of_range_hole_rejected():
         remove_holes(build_square_array(10, 0.6), [100])
 
 
+@pytest.mark.parametrize("hole", [True, False, np.True_])
+def test_a_boolean_hole_is_rejected(hole):
+    # True is an int, and removed site 1
+    with pytest.raises(InvalidArgumentError, match="hole index"):
+        remove_holes(build_square_array(3, 0.6), [hole])
+
+
+@pytest.mark.parametrize("sites", [[0.7, 1.9], [True, False], [0.0, 1.0]])
+def test_non_integer_site_indices_are_rejected(sites):
+    # [0.7, 1.9] was truncated to [0, 1]
+    with pytest.raises(InvalidArgumentError, match="integers"):
+        Geometry(
+            positions=np.array([[-0.3, -0.3, 0.0], [-0.3, 0.3, 0.0]]),
+            lattice_constant=0.6,
+            linear_size=2,
+            site_indices=sites,
+        )
+
+
+@pytest.mark.parametrize("z", [1e-12, -0.5, 2.0])
+def test_an_atom_off_the_plane_is_rejected(z):
+    pos = build_square_array(2, 0.6).positions.copy()
+    pos[3, 2] = z
+    with pytest.raises(InvalidArgumentError, match="z = 0 plane"):
+        Geometry(positions=pos, lattice_constant=0.6, linear_size=2)
+
+
 def test_a_geometry_without_atoms_is_refused():
     with pytest.raises(InvalidArgumentError, match="at least one atom"):
         remove_holes(build_square_array(2, 0.6), [0, 1, 2, 3])

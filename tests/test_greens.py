@@ -4,19 +4,18 @@ import pytest
 from arraymem import (
     ISOTROPIC,
     TWO_LEVEL,
-    DetectionMode,
     apply_position_disorder,
     build_square_array,
     interaction_matrix,
     remove_holes,
-    sample_mode,
 )
 from arraymem.errors import (
     InvalidArgumentError,
     SingularGeometryError,
 )
+from arraymem import greens
 from arraymem.geometry import Geometry
-from arraymem.greens import K0, InteractionMatrix, sector_basis
+from arraymem.greens import COMPONENTS, K0, InteractionMatrix, sector_basis
 
 RNG = np.random.default_rng(314)
 
@@ -32,15 +31,10 @@ def im_part_min_eigenvalue(m: InteractionMatrix) -> float:
 
 
 def greens_block(r, r_prime) -> np.ndarray:
-    """G(r - r') read off the isotropic M of two atoms at r and r': its
-    off-diagonal 3x3 block is (3 pi / k0) G."""
-    g = Geometry(
-        positions=np.array([r, r_prime], dtype=float),
-        lattice_constant=1.0,
-        linear_size=1,
-        site_indices=[0, 1],
-    )
-    return interaction_matrix(g, ISOTROPIC).entries[0:3, 3:6] / (3.0 * np.pi / K0)
+    """G(r - r') read off the three-component M of two dipoles at r and r',
+    anywhere in space: its off-diagonal 3x3 block is (3 pi / k0) G."""
+    m = greens._pair_matrix(np.array([r, r_prime], dtype=float), 3)
+    return m[0:3, 3:6] / (3.0 * np.pi / K0)
 
 
 def test_reciprocity_random_points():
@@ -74,10 +68,10 @@ def test_single_atom_matrix():
 
 
 def test_trace_identity():
-    for model, factor in ((TWO_LEVEL, 1), (ISOTROPIC, 3)):
+    for model in (TWO_LEVEL, ISOTROPIC):
         m = interaction_matrix(build_square_array(3, 0.6), model)
         eigs = np.linalg.eigvals(m.entries)
-        assert eigs.sum() == pytest.approx(0.5j * 9 * factor, abs=1e-10)
+        assert eigs.sum() == pytest.approx(0.5j * 9 * COMPONENTS[model], abs=1e-10)
 
 
 def test_distant_pair_coupling_is_small():
@@ -100,9 +94,10 @@ def test_matrix_exactly_symmetric(model):
 
 def test_isotropic_diagonal_blocks():
     m = interaction_matrix(build_square_array(2, 0.6), ISOTROPIC).entries
+    c = COMPONENTS[ISOTROPIC]
     for j in range(4):
-        blk = m[3 * j : 3 * j + 3, 3 * j : 3 * j + 3]
-        np.testing.assert_array_equal(blk, 0.5j * np.eye(3))
+        blk = m[c * j : c * j + c, c * j : c * j + c]
+        np.testing.assert_array_equal(blk, 0.5j * np.eye(c))
 
 
 def test_permutation_similarity():
@@ -125,15 +120,13 @@ def test_permutation_similarity():
     apply_position_disorder(build_square_array(4, 0.6), 0.03, 99),
 ], ids=["perfect", "holed", "disordered"])
 def test_two_level_is_the_isotropic_x_component(g):
-    # bit for bit: the x dipoles of the isotropic model are the two-level atoms
-    assert np.array_equal(
-        interaction_matrix(g, TWO_LEVEL).entries, interaction_matrix(g, ISOTROPIC).entries[::3, ::3]
-    )
-    mode = DetectionMode(w0=1.2)
-    assert np.array_equal(
-        sample_mode(mode, g, TWO_LEVEL).values, sample_mode(mode, g, ISOTROPIC).values[:, :1]
-    )
-    assert np.array_equal(sector_basis(g, TWO_LEVEL).q, sector_basis(g, ISOTROPIC).q_x)
+    # bit for bit: the x dipoles of the isotropic model are the two-level
+    # atoms, and its (x, y) dipoles those of the three-component M
+    three = greens._pair_matrix(g.positions, 3)
+    xy = np.flatnonzero(np.arange(len(three)) % 3 != 2)
+    assert np.array_equal(interaction_matrix(g, ISOTROPIC).entries, three[np.ix_(xy, xy)])
+    assert np.array_equal(interaction_matrix(g, TWO_LEVEL).entries, three[::3, ::3])
+    assert np.array_equal(sector_basis(g, TWO_LEVEL).q_x, sector_basis(g, ISOTROPIC).q_x)
 
 
 @pytest.mark.parametrize("model", [TWO_LEVEL, ISOTROPIC])

@@ -21,11 +21,11 @@ from arraymem import (
 from arraymem.errors import InvalidArgumentError
 from arraymem.modes import _FIELD_CHUNK
 from arraymem.retrieval import efficiency_of_spin_wave
-from arraymem import greens
+from arraymem import greens, modes
 from arraymem.greens import COMPONENTS, InteractionMatrix, sector_basis
 from arraymem import studies
-from field_oracle import detection_field
 from ode_oracle import ControlSchedule, evolve
+from sector_oracle import dense_basis
 
 SIZES = (1, 2, 3, 4, 5, 8)
 MODELS = (TWO_LEVEL, ISOTROPIC)
@@ -33,16 +33,15 @@ MODELS = (TWO_LEVEL, ISOTROPIC)
 
 def sector_columns(n, model):
     half, rest = (n + 1) // 2, n // 2
-    # x and y rows: even/even and odd/odd functions of the sites; the
-    # planar z rows decouple and are left out
+    # x and y rows: even/even and odd/odd functions of the sites
     return sum((half * half, rest * rest)[: COMPONENTS[model]])
 
 
-def assert_x_columns(basis, model):
-    """The columns basis.x of q carry the x rows, as q_x, and no other
-    column has weight on them."""
-    rows_x = basis.q[:: COMPONENTS[model]]
-    x = np.zeros(basis.q.shape[1], dtype=bool)
+def assert_x_columns(basis, q, model):
+    """The columns basis.x of the dense basis q carry the x rows, as
+    q_x, and no other column has weight on them."""
+    rows_x = q[:: COMPONENTS[model]]
+    x = np.zeros(basis.columns, dtype=bool)
     x[basis.x] = True
     assert np.array_equal(rows_x[:, x], basis.q_x)
     assert not np.any(rows_x[:, ~x])
@@ -53,10 +52,10 @@ def assert_x_columns(basis, model):
 def test_basis_is_orthonormal_and_invariant(n, model):
     g = build_square_array(n, 0.6)
     basis = sector_basis(g, model)
-    q = basis.q
-    assert q.shape[1] == sector_columns(n, model)
+    q = dense_basis(g, model)
+    assert q.shape[1] == basis.columns == sector_columns(n, model)
     assert np.max(np.abs(q.T @ q - np.eye(q.shape[1]))) <= 1e-15
-    assert_x_columns(basis, model)
+    assert_x_columns(basis, q, model)
     # M maps the sector into itself
     m = interaction_matrix(g, model).entries
     residual = np.linalg.norm(m @ q - q @ (q.T @ m @ q))
@@ -72,10 +71,10 @@ def test_basis_is_orthonormal_and_invariant(n, model):
 def test_table_sector_matrix_matches_the_pair_path(n, model, d):
     # N = 1 has empty odd-parity blocks
     g = build_square_array(n, d)
-    basis = sector_basis(g, model)
+    q = dense_basis(g, model)
     m = interaction_matrix(g, model).entries
-    want = basis.q.T @ m @ basis.q
-    got = InteractionMatrix(g, model, basis).in_basis()
+    want = q.T @ m @ q
+    got = InteractionMatrix(g, model, sector_basis(g, model)).in_basis()
     assert np.array_equal(got, got.T)
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
@@ -99,19 +98,20 @@ def test_only_broken_symmetry_forms_the_pair_matrix(monkeypatch):
 
 
 def test_isotropic_sector_of_n14_has_98_columns():
-    # 49 even/even x rows and 49 odd/odd y rows; the 49 odd/even z rows
-    # are left out
-    g = build_square_array(14, 0.6)
-    assert sector_basis(g, ISOTROPIC).q.shape == (3 * 196, 98)
+    # 49 even/even x rows and 49 odd/odd y rows
+    basis = sector_basis(build_square_array(14, 0.6), ISOTROPIC)
+    assert basis.columns == 98
+    assert basis.q_x.shape == (196, 49)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_planar_z_dipoles_couple_to_no_in_plane_dipole(n):
-    # the reduced sector rests on this: in the z = 0 plane G_xz = G_yz = 0,
-    # so M's z rows have exact zeros in every x and y column
+    # the isotropic model keeps x and y alone because of this: in the
+    # z = 0 plane G_xz = G_yz = 0, so the z rows of the three-component M
+    # have exact zeros in every x and y column
     g0 = build_square_array(n, 0.6)
     for g in (g0, remove_holes(g0, [0, n + 1]), apply_position_disorder(g0, 0.05, n)):
-        m = interaction_matrix(g, ISOTROPIC).entries
+        m = greens._pair_matrix(g.positions, 3)
         z = np.arange(2, m.shape[0], 3)
         xy = np.setdiff1d(np.arange(m.shape[0]), z)
         assert np.all(m[np.ix_(z, xy)] == 0.0)
@@ -120,13 +120,11 @@ def test_planar_z_dipoles_couple_to_no_in_plane_dipole(n):
 @pytest.mark.parametrize("model", MODELS)
 @pytest.mark.parametrize("n", SIZES)
 def test_beam_lies_in_the_sector(n, model):
-    # the sector spans the beam's x and y rows; its z rows reach no x row
+    # the beam's E_x lies in the span of the sector's x rows
     g = build_square_array(n, 0.6)
-    q = sector_basis(g, model).q
-    values = sample_mode(DetectionMode(w0=1.2), g, model).values.conj()
-    field = values[:, :2].reshape(-1)
-    xy = q.reshape(g.n_atoms, -1, q.shape[1])[:, :2].reshape(len(field), -1)
-    leak = np.linalg.norm(field - xy @ (xy.T @ field))
+    q_x = sector_basis(g, model).q_x
+    field = sample_mode(DetectionMode(w0=1.2), g).values
+    leak = np.linalg.norm(field - q_x @ (q_x.T @ field))
     assert leak <= 1e-15 * np.linalg.norm(field)
 
 
@@ -136,7 +134,7 @@ def test_sector_matches_dense(n, model):
     g = build_square_array(n, 0.6)
     mode = DetectionMode(w0=0.3 * n + 0.5)
     sector = studies.solve(g, mode, model)
-    assert sector.dec.basis.q.shape[1] == sector_columns(n, model)
+    assert sector.dec.basis.columns == sector_columns(n, model)
     dense = k_matrix(eigendecompose(interaction_matrix(g, model)), sector.samples)
     assert abs(sector.eta - dense.eta) <= 1e-12
     spin = dense.solution.spin_wave
@@ -167,10 +165,10 @@ def test_broken_symmetry_is_solved_whole(model):
         apply_position_disorder(g0, 0.02, 5),
     ):
         basis = sector_basis(g, model)
-        size = interaction_matrix(g, model).size
-        assert np.array_equal(basis.q, np.eye(size))
+        size = COMPONENTS[model] * g.n_atoms
+        assert basis.columns == size
         assert np.array_equal(basis.q_x, np.eye(g.n_atoms))
-        assert_x_columns(basis, model)
+        assert_x_columns(basis, np.eye(size), model)
         dec = studies.solve(g, DetectionMode(w0=1.2), model).dec
         assert dec.eigenvectors.shape == (size, size)
 
@@ -187,9 +185,10 @@ def test_evolve_rejects_a_sector_eigensystem():
 
 
 def test_sampling_matches_pointwise_field():
+    # the chunked samples against the package's field, one radius at a time
     g = build_square_array(30, 0.6)
     assert g.n_atoms > _FIELD_CHUNK
-    mode = DetectionMode(w0=4.0)
-    samples = sample_mode(mode, g, ISOTROPIC)
-    pointwise = np.array([detection_field(mode, r) for r in g.positions])
+    samples = sample_mode(DetectionMode(w0=4.0), g)
+    rho = np.hypot(g.positions[:, 0], g.positions[:, 1])
+    pointwise = np.array([modes._field_x(4.0, rho[i : i + 1])[0] for i in range(len(rho))])
     assert np.max(np.abs(samples.values - pointwise)) <= 1e-15

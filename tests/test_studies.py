@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,10 +25,17 @@ from arraymem import (
     sample_mode,
 )
 from arraymem.errors import FitWindowError, InvalidArgumentError, NumericalError
+from arraymem.greens import COMPONENTS
 from arraymem.retrieval import efficiency_of_spin_wave
 from arraymem import blas, modes, retrieval, spectral, studies
 
 BEAM = DetectionMode(w0=1.5)  # the waist searches replace its w0
+
+
+def broken_bound(monkeypatch, eta):
+    """Make every solve of studies report eta, whatever it solved."""
+    solved = SimpleNamespace(solution=SimpleNamespace(eta_max=eta, diagnostics={"spectral_gap": 0.0}))
+    monkeypatch.setattr(studies, "k_matrix", lambda dec, samples: solved)
 
 
 def eta_at(geometry, w0):
@@ -56,6 +64,15 @@ def test_scan_waist_rejects_bad_axis(nothing_solved):
     for w0_list in bad:
         with pytest.raises(InvalidArgumentError, match="strictly increasing"):
             studies.scan_waist(g, BEAM, w0_list)
+
+
+@pytest.mark.parametrize("eta", [1.5, -0.5])
+def test_a_scan_error_outside_the_unit_interval_is_a_numerical_error(monkeypatch, eta):
+    # a solve that breaks 0 <= eps <= 1 is a numerical failure, not a bad input
+    broken_bound(monkeypatch, eta)
+    with pytest.raises(NumericalError, match=r"outside \[0, 1\]") as info:
+        studies.scan_waist(build_square_array(3, 0.6), BEAM, [1.0, 2.0])
+    assert info.value.achieved == pytest.approx(0.5)
 
 
 def test_synthetic_fit_recovers_constant():
@@ -169,14 +186,14 @@ def test_solve_matches_hand_chain(g, model, sliced, sector):
         res = k_matrix(studies._eigensystem(g), samples)
         assert studies._hole_task((4, 0.6, (0, 5), samples0)) == res.eta
     else:
-        samples = sample_mode(mode, g, model)
+        samples = sample_mode(mode, g)
         res = studies.solve(g, mode, model)
     mat = k_matrix(eigendecompose(interaction_matrix(g, model)), samples)
     sol = max_efficiency(mat)
     # a perfect lattice is solved in its mirror sector, another algorithm
     # for the same K = Q_x K_r Q_x^T; holes and disorder in the whole
     # space, Q_x = I, which is the dense chain itself
-    assert (res.dec.basis.q.shape[1] < res.dec.size) == sector
+    assert (res.dec.basis.columns < COMPONENTS[model] * g.n_atoms) == sector
     eta_tol, spin_tol = (1e-12, 1e-9) if sector else (0.0, 0.0)
     q_x = res.dec.basis.q_x
     assert abs(res.eta - sol.eta_max) <= eta_tol
@@ -215,7 +232,7 @@ def test_a_waist_search_forms_the_waist_free_parts_once(monkeypatch):
     # geometry; a waist evaluation forms neither again, nor K itself
     monkeypatch.setattr(modes, "_last_points", ())
     kernels = counting(monkeypatch, spectral, "_pair_kernel")
-    tables = counting(monkeypatch, modes, "_j0_j1")
+    tables = counting(monkeypatch, modes, "_j0")
     opt = studies.optimal_waist(build_square_array(6, 0.6), BEAM)
     assert opt.n_evaluations > 10
     assert len(kernels) == 1
